@@ -4,8 +4,12 @@ whole frame, then a per-region rotation magnitude along that direction.
 Estimating the direction over all pixels keeps it identifiable regardless
 of depth structure (direction is depth-independent for translational
 motion); depth discontinuities only change the per-region speed. Both 1-D
-searches are derivative-free (coarse grid + golden section) because the
-rounded-count objective is piecewise constant at fine scales.
+searches are derivative-free (coarse grid + golden section). The score is
+continuous in the rotation, but the bilinear splat makes it only piecewise
+smooth: its slope jumps whenever an event crosses a pixel boundary. It
+is also multimodal in direction (the pixel lattice alone adds maxima
+along the sensor axes). A coarse grid picks the basin and golden section
+refines it from objective values alone.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from .likelihood import (
     NBParams,
     WindowObjective,
     marginal_from_objective,
+    marginals_from_objective,
 )
 from .warp import (
     AngularVelocity2,
@@ -87,14 +92,17 @@ def estimate_direction(w: EventWindow, grid: MagnitudeGrid,
     Coarse scan over evenly spaced directions in [0, 2pi), then
     golden-section refinement inside the bracketing interval (tolerance
     0.2 degrees, at most MAX_REFINE_EVALS objective evaluations). Coarse
-    ties break toward the smaller angle.
+    ties break toward the smaller angle. The coarse directions are
+    independent, so marginals_from_objective splits them across the usable
+    CPUs (a process pool) with results bit-for-bit those of a serial scan;
+    the refinement is sequential and runs in this process.
     """
     if len(w) < min_events:
         raise InsufficientEventsError(
             f"insufficient events: {len(w)} < {min_events}")
     obj = WindowObjective(w, intr, region=None, params=params)
     phis = np.arange(phi_samples) * (2.0 * math.pi / phi_samples)
-    coarse = np.array([marginal_from_objective(obj, p, grid) for p in phis])
+    coarse = marginals_from_objective(obj, phis, grid)
     best = int(np.argmax(coarse))  # first occurrence = smaller angle on ties
     step = 2.0 * math.pi / phi_samples
     lo, hi = phis[best] - step, phis[best] + step
@@ -137,16 +145,16 @@ def align_window(w: EventWindow, mask: RegionMask,
                  params: NBParams | None, intr: CameraIntrinsics,
                  phi_samples: int = DEFAULT_PHI_SAMPLES,
                  min_events: int = DEFAULT_MIN_EVENTS,
-                 grid_n: int = 50, m_max: float | None = None,
-                 threads: int = 1) -> AlignmentResult:
+                 grid_n: int = 50,
+                 m_max: float | None = None) -> AlignmentResult:
     """Object-wise alignment of one window.
 
     Derotates when an IMU trace is given, estimates the shared direction on
     the full frame, then the magnitude per mask region. Regions that fail
     (too few events) become unconverged entries; they never abort the
-    window. Every region present in the mask gets an entry. With
-    threads > 1, per-region magnitude estimation runs in a thread pool;
-    results are identical either way.
+    window. Every region present in the mask gets an entry. Regions are
+    solved one after another in this process; the parallel part is the
+    direction search's coarse scan (see estimate_direction).
     """
     if (mask.height, mask.width) != (intr.height, intr.width):
         raise ValueError("mask dimensions do not match sensor dimensions")
@@ -177,15 +185,7 @@ def align_window(w: EventWindow, mask: RegionMask,
                 log_likelihood=float("-inf"), n_events=n_ev,
                 converged=False, centroid=centroid)
 
-    rids = list(mask.region_ids)
-    if threads > 1 and len(rids) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            estimates = list(pool.map(solve_region, rids))
-    else:
-        estimates = [solve_region(rid) for rid in rids]
-    per_region = dict(zip(rids, estimates))
+    per_region = {rid: solve_region(rid) for rid in mask.region_ids}
     return AlignmentResult(phi_global=phi, per_region=per_region,
                            derotated=w.derotated)
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -76,12 +75,10 @@ def _config_flags(parser: argparse.ArgumentParser) -> None:
 def _build_config(args) -> RunConfig:
     nb_q = None if args.nb_q == "auto" else float(args.nb_q)
     m_max = None if args.m_max == "auto" else float(args.m_max)
-    threads = int(os.environ.get("EVALIGN_THREADS", "1"))
     return RunConfig(dt=args.dt, sigma_proc=args.sigma_proc, nb_r=args.nb_r,
                      nb_q=nb_q, m_max=m_max, grid_n=args.grid_n,
                      phi_samples=args.phi_samples, min_events=args.min_events,
-                     hot_threshold=args.hot_thresh, seed=args.seed,
-                     threads=max(threads, 1))
+                     hot_threshold=args.hot_thresh, seed=args.seed)
 
 
 def _intrinsics(args, width: int, height: int) -> CameraIntrinsics:
@@ -101,7 +98,7 @@ def _header_lines(args, cfg: RunConfig) -> list[str]:
     echo = " ".join(
         f"{k}={getattr(cfg, k)}" for k in (
             "dt", "sigma_proc", "nb_r", "nb_q", "m_max", "grid_n",
-            "phi_samples", "min_events", "hot_threshold", "threads"))
+            "phi_samples", "min_events", "hot_threshold"))
     return [
         f"# evalign {__version__} {args.command}",
         f"# config: {echo}",

@@ -39,6 +39,10 @@ class Events:
         p = np.ascontiguousarray(self.p, dtype=np.int8)
         if not (x.shape == y.shape == t.shape == p.shape) or x.ndim != 1:
             raise ValidationError("event arrays must be 1-D and equal length")
+        if not (np.isfinite(x).all() and np.isfinite(y).all()
+                and np.isfinite(t).all()):
+            raise ValidationError("event coordinates and timestamps must be "
+                                  "finite")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "t", t)

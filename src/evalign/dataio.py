@@ -43,8 +43,8 @@ def write_events(path, events: Events, width: int, height: int) -> None:
 def read_events(path) -> tuple[Events, int, int]:
     """Parse an event file; returns (events, width, height).
 
-    Validation failures (bad polarity, non-monotone timestamps,
-    out-of-bounds coordinates) report the offending line number.
+    Validation failures (non-finite numbers, bad polarity, non-monotone
+    timestamps, out-of-bounds coordinates) report the offending line number.
     """
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
@@ -69,6 +69,9 @@ def read_events(path) -> tuple[Events, int, int]:
                 p = int(parts[3])
             except ValueError:
                 raise ParseError("malformed number", line=ln) from None
+            if not (math.isfinite(t) and math.isfinite(x)
+                    and math.isfinite(y)):
+                raise ParseError("t, x and y must be finite", line=ln)
             if p not in (-1, 1):
                 raise ParseError("polarity must be -1 or 1", line=ln)
             if t < 0:

@@ -28,6 +28,11 @@ lie inside it) and through the base term, not by clipping the pixel sum.
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
+import signal
+import threading
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -47,6 +52,11 @@ DEFAULT_NB_R = 0.25
 MMAX_FACTOR = 4.0
 MMAX_FLOOR = 0.5
 MMAX_CAP = 10.0
+
+# Workers that score all but the first part of a coarse direction scan
+# (see marginals_from_objective); created on first use, kept for the life
+# of the process.
+_scan_pool: ProcessPoolExecutor | None = None
 
 
 @dataclass(frozen=True)
@@ -300,3 +310,55 @@ def marginal_from_objective(obj: WindowObjective, phi: float,
     log_w = np.full(grid.n, math.log(h))
     log_w[0] = log_w[-1] = math.log(h / 2.0)
     return float(logsumexp(inner + log_w))
+
+
+def marginals_from_objective(obj: WindowObjective, phis: np.ndarray,
+                             grid: MagnitudeGrid) -> np.ndarray:
+    """marginal_from_objective at each direction in phis, in order.
+
+    The directions are split into one contiguous part per usable CPU. This
+    process scores the first part while a fork-started process pool scores
+    the others, and the parts are joined in order. Each value comes from
+    the same code on the same inputs as in a plain loop, so the result is
+    bit-for-bit the loop's; a worker's exception is re-raised here. The
+    plain loop runs when there is one usable CPU, fewer directions than
+    CPUs, or no safe way to fork (see _scan_workers).
+    """
+    n_cpu = (len(os.sched_getaffinity(0))
+             if hasattr(os, "sched_getaffinity") else 1)
+    pool = _scan_workers(n_cpu) if 1 < n_cpu <= len(phis) else None
+    if pool is None:
+        return np.array(_marginals(obj, phis, grid))
+    parts = np.array_split(phis, n_cpu)
+    futures = [pool.submit(_marginals, obj, part, grid) for part in parts[1:]]
+    values = _marginals(obj, parts[0], grid)
+    for fut in futures:
+        values.extend(fut.result())
+    return np.array(values)
+
+
+def _marginals(obj: WindowObjective, phis: np.ndarray,
+               grid: MagnitudeGrid) -> list[float]:
+    return [marginal_from_objective(obj, p, grid) for p in phis]
+
+
+def _scan_workers(n_cpu: int) -> ProcessPoolExecutor | None:
+    """The process pool of the coarse scan, created with n_cpu - 1 workers
+    on first use; None when it does not exist and cannot be forked safely.
+
+    Forking copies only the calling thread, so a lock held by any other
+    thread stays locked in the child: the pool is only created while this
+    is the process's sole thread (the package starts none of its own).
+    Workers ignore SIGINT, so Ctrl-C interrupts this process alone and the
+    pool is shut down as it exits.
+    """
+    global _scan_pool
+    if _scan_pool is None:
+        if ("fork" not in multiprocessing.get_all_start_methods()
+                or threading.active_count() > 1):
+            return None
+        _scan_pool = ProcessPoolExecutor(
+            n_cpu - 1, mp_context=multiprocessing.get_context("fork"),
+            initializer=signal.signal,
+            initargs=(signal.SIGINT, signal.SIG_IGN))
+    return _scan_pool

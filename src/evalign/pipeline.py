@@ -39,7 +39,6 @@ class RunConfig:
     min_events: int = 50
     hot_threshold: float | None = None  # None = hot-pixel filter off
     seed: int = 0
-    threads: int = 1
 
     def nb_params(self) -> NBParams | NBSpec:
         if self.nb_q is not None:
@@ -85,7 +84,7 @@ def run_depth(events: Events, intr: CameraIntrinsics, cfg: RunConfig,
             result = align_window(
                 w, mask, imu, None, params, intr,
                 phi_samples=cfg.phi_samples, min_events=cfg.min_events,
-                grid_n=cfg.grid_n, m_max=cfg.m_max, threads=cfg.threads)
+                grid_n=cfg.grid_n, m_max=cfg.m_max)
         except InsufficientEventsError:
             for rid in sorted(tracks):
                 tracks[rid] = track_predict(tracks[rid], cfg.sigma_proc)

@@ -236,11 +236,11 @@ class _Pose:
     def rotation(self, t) -> np.ndarray:
         """(n, 3, 3) world-from-camera orientation matrices at times t."""
         t = np.atleast_1d(np.asarray(t, dtype=np.float64))
+        if not self.motion.rotating:  # includes an all-zero omega_profile
+            return np.broadcast_to(np.eye(3), (t.size, 3, 3)).copy()
         if self._grid_t is None:
-            om = self.motion.omega
-            if np.all(om == 0):
-                return np.broadcast_to(np.eye(3), (t.size, 3, 3)).copy()
-            return Rotation.from_rotvec(np.outer(t, om)).as_matrix()
+            rotvec = np.outer(t, self.motion.omega)
+            return Rotation.from_rotvec(rotvec).as_matrix()
         i = np.clip(np.searchsorted(self._grid_t, t, side="right") - 1,
                     0, self._grid_t.size - 2)
         om = self.motion.omega_at(self._grid_t[i])

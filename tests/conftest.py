@@ -14,6 +14,8 @@ from evalign import (
     generate,
     slice_windows,
 )
+from evalign import align
+from evalign.likelihood import marginal_from_objective
 
 
 @pytest.fixture(scope="session")
@@ -63,3 +65,15 @@ def rotation_run(intr):
     res = generate(scene, motion, intr, seed=11)
     windows = slice_windows(res.events, 0.05)
     return scene, motion, res, windows
+
+
+@pytest.fixture
+def serial_scan(monkeypatch):
+    """Calling the returned function swaps the pooled coarse direction scan
+    for the plain loop that it must reproduce bit for bit."""
+    def loop(obj, phis, grid):
+        return np.array([marginal_from_objective(obj, p, grid) for p in phis])
+
+    def enable():
+        monkeypatch.setattr(align, "marginals_from_objective", loop)
+    return enable

@@ -15,6 +15,7 @@ from evalign import (
     RegionMask,
     SceneSpec,
     align_window,
+    align_window_3dof,
     analytic_compensation,
     estimate_direction,
     estimate_magnitude,
@@ -72,6 +73,20 @@ class TestEstimateDirection:
         wm = EventWindow(mirrored, w.t_start, w.t_end, w.t_ref)
         phi_m = estimate_direction(wm, grid, None, intr)
         assert angdiff_deg(phi_m, math.pi - phi) <= 3.0
+
+    @pytest.mark.parametrize("phi_samples", [36, 2, 1])
+    def test_pooled_scan_matches_serial(self, intr, two_plane_run,
+                                        serial_scan, phi_samples):
+        # 36 splits across the CPUs; 1 (and 2, with more than 2 CPUs) is
+        # fewer directions than CPUs and runs in this process
+        _, _, res, _ = two_plane_run
+        w = res.event_windows()[3]
+        grid = MagnitudeGrid.for_window(w, intr)
+        pooled = estimate_direction(w, grid, None, intr,
+                                    phi_samples=phi_samples)
+        serial_scan()
+        assert estimate_direction(w, grid, None, intr,
+                                  phi_samples=phi_samples) == pooled
 
     def test_insufficient_events(self, intr):
         ev = Events(np.array([5.0]), np.array([5.0]), np.array([0.01]),
@@ -182,12 +197,22 @@ class TestAlignWindow:
                 assert ll_best >= window_log_likelihood(w, other, region,
                                                         None, intr)
 
-    def test_threaded_matches_sequential(self, intr, symmetric_two_plane):
+    def test_pooled_scan_matches_serial(self, intr, symmetric_two_plane,
+                                        serial_scan):
         _, _, res = symmetric_two_plane
         w = res.event_windows()[0]
         mask = res.windows[0].mask
-        seq = align_window(w, mask, None, None, None, intr, threads=1)
-        par = align_window(w, mask, None, None, None, intr, threads=4)
-        for rid in seq.per_region:
-            assert seq.per_region[rid].m == par.per_region[rid].m
-        assert seq.phi_global == par.phi_global
+        pooled = align_window(w, mask, None, None, None, intr)
+        serial_scan()
+        assert align_window(w, mask, None, None, None, intr) == pooled
+
+
+class TestAlignWindow3Dof:
+    def test_pooled_scan_matches_serial(self, intr, rotation_run,
+                                        serial_scan):
+        # a reduced search keeps the ~15 nested direction searches cheap
+        _, _, _, windows = rotation_run
+        kw = dict(phi_samples=12, grid_n=15, wz_samples=3)
+        pooled = align_window_3dof(windows[0], intr, **kw)
+        serial_scan()
+        assert align_window_3dof(windows[0], intr, **kw) == pooled

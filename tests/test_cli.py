@@ -1,10 +1,15 @@
 """CLI plumbing: subcommands, files, exit codes, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import evalign
 from evalign.cli import main
 from evalign.dataio import read_events, read_gt_depth, read_imu, read_masks
 
@@ -149,6 +154,20 @@ class TestDepthCommand:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["nan 80.0 60.0 1", "inf 80.0 60.0 1"])
+    def test_non_finite_timestamp_exit_2(self, dataset, tmp_path, capsys,
+                                         bad):
+        lines = (dataset / "events.evt").read_text().splitlines()
+        events = tmp_path / "bad.evt"
+        events.write_text("\n".join(lines + [bad]) + "\n")
+        code = main(["depth", "--events", str(events),
+                     "--mask", "honeycomb:r=24",
+                     "--out", str(tmp_path / "out"), *FAST])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: line {len(lines) + 1}: ")
+        assert "finite" in err and "Traceback" not in err
+
 
 class TestAngvelCommand:
     @pytest.fixture(scope="class")
@@ -210,3 +229,36 @@ class TestAngvelCommand:
                      "--imu-gt", str(tmp_path / "missing.imu"),
                      "--out", str(tmp_path / "out")])
         assert code == 2
+
+
+def test_pool_starts_with_first_direction_search(dataset, tmp_path):
+    """`evalign synth` leaves no scan pool, worker or thread behind; the
+    first direction search creates the pool when there are CPUs to share."""
+    script = (
+        "import json, multiprocessing, os, sys, threading\n"
+        "from evalign import likelihood\n"
+        "from evalign.cli import main\n"
+        "synth, depth = json.loads(sys.argv[1])\n"
+        "assert main(synth) == 0\n"
+        "assert likelihood._scan_pool is None\n"
+        "assert not multiprocessing.active_children()\n"
+        "assert threading.active_count() == 1\n"
+        "assert main(depth) == 0\n"
+        "pooled = len(os.sched_getaffinity(0)) > 1\n"
+        "assert (likelihood._scan_pool is not None) == pooled\n"
+    )
+    root = tmp_path / "scene"
+    synth = ["synth", "--scene", str(write_scene(tmp_path / "scene.json")),
+             "--motion", str(write_motion(tmp_path / "motion.json")),
+             "--out", str(root), "--seed", "5"]
+    depth = ["depth", "--events", str(dataset / "events.evt"),
+             "--mask", str(dataset / "masks.msk"),
+             "--out", str(tmp_path / "run"),
+             "--intrinsics", "170,170,79.5,59.5", *FAST]
+    src = str(Path(evalign.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script,
+                           json.dumps([synth, depth])],
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr

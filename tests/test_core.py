@@ -128,6 +128,15 @@ class TestEventsValidation:
             Events(np.array([1.0]), np.array([1.0]), np.array([0.1]),
                    np.array([2], dtype=np.int8)).validate()
 
+    @pytest.mark.parametrize("field", ["x", "y", "t"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_rejected(self, field, value):
+        arrays = {"x": np.array([1.0, 2.0]), "y": np.array([1.0, 2.0]),
+                  "t": np.array([0.1, 0.2])}
+        arrays[field][1] = value
+        with pytest.raises(ValidationError, match="finite"):
+            Events(**arrays, p=np.array([1, 1], dtype=np.int8))
+
     def test_bounds_checked(self):
         ev = Events(np.array([40.0]), np.array([1.0]), np.array([0.1]),
                     np.array([1], dtype=np.int8))

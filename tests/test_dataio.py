@@ -70,6 +70,15 @@ class TestEventFile:
         with pytest.raises(ParseError, match="bounds"):
             read_events(p)
 
+    @pytest.mark.parametrize("line", ["nan 3 4 1", "inf 3 4 1",
+                                      "0.2 nan 4 1", "0.2 3 -inf 1"])
+    def test_non_finite_reports_line(self, tmp_path, line):
+        p = tmp_path / "bad.evt"
+        p.write_text(f"evt1 32 24\n0.1 3 4 1\n{line}\n")
+        with pytest.raises(ParseError, match="line 3: t, x and y must be "
+                                             "finite"):
+            read_events(p)
+
 
 class TestMaskFile:
     def test_round_trip_byte_identical(self, tmp_path):

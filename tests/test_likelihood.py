@@ -2,6 +2,7 @@
 semantics, and the magnitude-marginalized direction objective."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -18,8 +19,17 @@ from evalign import (
     nb_log_pmf,
     window_log_likelihood,
 )
+from evalign import likelihood
 from evalign.errors import ValidationError
-from evalign.likelihood import NBSpec, WindowObjective, marginal_from_objective
+from evalign.likelihood import (
+    NBSpec,
+    WindowObjective,
+    marginal_from_objective,
+    marginals_from_objective,
+)
+from evalign.warp import warp_positions
+
+N_CPU = len(os.sched_getaffinity(0))
 
 
 class TestNbLogPmf:
@@ -214,3 +224,64 @@ class TestMarginal:
             b = marginal_log_likelihood(wr, phi + math.pi, grid, None,
                                         params, intr)
             assert a == pytest.approx(b, abs=1e-6)
+
+
+class TestMarginalsFromObjective:
+    """The pooled coarse scan against the plain loop, compared exactly."""
+
+    @staticmethod
+    def loop(obj, phis, grid):
+        return np.array([marginal_from_objective(obj, p, grid) for p in phis])
+
+    def test_two_plane_window(self, intr, two_plane_run):
+        _, _, res, _ = two_plane_run
+        w = res.event_windows()[0]
+        grid = MagnitudeGrid.for_window(w, intr)
+        obj = WindowObjective(w, intr)
+        phis = np.arange(36) * (2.0 * math.pi / 36)
+        assert np.array_equal(marginals_from_objective(obj, phis, grid),
+                              self.loop(obj, phis, grid))
+        if N_CPU > 1:
+            assert likelihood._scan_pool is not None
+
+    def test_warped_3dof_window(self, intr, rotation_run):
+        # the window as align_window_3dof scores it for one wz candidate
+        _, _, _, windows = rotation_run
+        w = windows[1]
+        pos = warp_positions(w.events, np.array([0.0, 0.0, 0.2]), w.t_ref,
+                             intr)
+        ev = Events(pos[:, 0], pos[:, 1], w.events.t, w.events.p)
+        wd = EventWindow(ev, w.t_start, w.t_end, w.t_ref)
+        grid = MagnitudeGrid.for_window(wd, intr)
+        obj = WindowObjective(wd, intr)
+        phis = np.arange(11) * (2.0 * math.pi / 11)
+        assert np.array_equal(marginals_from_objective(obj, phis, grid),
+                              self.loop(obj, phis, grid))
+
+    @pytest.mark.parametrize("n_phi", sorted({1, max(N_CPU - 1, 1)}))
+    def test_fewer_directions_than_cpus(self, intr, two_plane_run, n_phi):
+        _, _, res, _ = two_plane_run
+        w = res.event_windows()[2]
+        grid = MagnitudeGrid(m_max=1.5, n=20)
+        obj = WindowObjective(w, intr)
+        phis = np.linspace(0.3, 2.0, n_phi)
+        assert np.array_equal(marginals_from_objective(obj, phis, grid),
+                              self.loop(obj, phis, grid))
+
+    def test_worker_exception_reaches_caller(self, intr, two_plane_run):
+        # a NaN direction fails inside the scorer; placed last, it lands
+        # in the last part, which a worker scores when there is a pool
+        _, _, res, _ = two_plane_run
+        w = res.event_windows()[0]
+        grid = MagnitudeGrid(m_max=1.5, n=20)
+        obj = WindowObjective(w, intr)
+        phis = np.append(np.linspace(0.0, 3.0, 7), np.nan)
+        with pytest.raises(ValueError,
+                           match="cannot convert float NaN to integer") as exc:
+            marginals_from_objective(obj, phis, grid)
+        if N_CPU > 1:
+            assert type(exc.value.__cause__).__name__ == "_RemoteTraceback"
+        # the pool survives a failed task
+        ok = phis[:-1]
+        assert np.array_equal(marginals_from_objective(obj, ok, grid),
+                              self.loop(obj, ok, grid))

@@ -48,6 +48,18 @@ class TestGenerate:
         assert np.array_equal(a.events.y, b.events.y)
         assert np.array_equal(a.events.p, b.events.p)
 
+    def test_all_zero_omega_profile_is_no_rotation(self, small_intr):
+        scene = plain_scene()
+        still = MotionSpec(v=[0.3, 0.1, 0.0], duration=0.2)
+        zero = MotionSpec(v=[0.3, 0.1, 0.0], duration=0.2,
+                          omega_profile=[[0, 0, 0, 0], [1, 0, 0, 0]])
+        a = generate(scene, still, small_intr, seed=4)
+        b = generate(scene, zero, small_intr, seed=4)
+        assert len(a.events) > 0
+        for field in ("x", "y", "t", "p"):
+            assert np.array_equal(getattr(a.events, field),
+                                  getattr(b.events, field))
+
     def test_vertical_edge_crossing_spacing(self, small_intr):
         """Analytic oracle: a vertical edge under pure x translation crosses
         consecutive pixel centers on a row every z/(fx*vx) seconds."""
