@@ -27,8 +27,8 @@ from .core import (
     slice_windows_count,
 )
 from .depth import (
+    DepthRow,
     DistanceTrack,
-    RegionDepthReport,
     RegionFlow,
     estimate_window_depth,
     region_flows,
@@ -40,9 +40,9 @@ from .depth import (
 from .likelihood import (
     MagnitudeGrid,
     NBParams,
-    marginal_log_likelihood,
+    WindowObjective,
+    marginal_from_objective,
     nb_log_pmf,
-    window_log_likelihood,
 )
 from .synth import (
     MotionSpec,

@@ -22,6 +22,7 @@ import numpy as np
 from .core import CameraIntrinsics, Events, EventWindow, RegionMask
 from .errors import InsufficientEventsError
 from .likelihood import (
+    DEFAULT_GRID_N,
     MagnitudeGrid,
     NBParams,
     WindowObjective,
@@ -45,9 +46,10 @@ INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 @dataclass(frozen=True)
 class RegionEstimate:
+    """One region's magnitude along the window's shared direction
+    (AlignmentResult.phi_global); m is 0 when the region did not converge."""
+
     m: float
-    omega: AngularVelocity2
-    log_likelihood: float
     n_events: int
     converged: bool
     centroid: tuple[float, float] | None = None
@@ -145,7 +147,7 @@ def align_window(w: EventWindow, mask: RegionMask,
                  params: NBParams | None, intr: CameraIntrinsics,
                  phi_samples: int = DEFAULT_PHI_SAMPLES,
                  min_events: int = DEFAULT_MIN_EVENTS,
-                 grid_n: int = 50,
+                 grid_n: int = DEFAULT_GRID_N,
                  m_max: float | None = None) -> AlignmentResult:
     """Object-wise alignment of one window.
 
@@ -174,16 +176,13 @@ def align_window(w: EventWindow, mask: RegionMask,
             centroid = (float(ev.x[in_region].mean()),
                         float(ev.y[in_region].mean()))
         try:
-            m, ll = estimate_magnitude(w, phi, mask.bool_mask(rid), grid,
-                                       params, intr, min_events=min_events)
-            return RegionEstimate(
-                m=m, omega=AngularVelocity2(m, phi), log_likelihood=ll,
-                n_events=n_ev, converged=True, centroid=centroid)
+            m, _ = estimate_magnitude(w, phi, mask.bool_mask(rid), grid,
+                                      params, intr, min_events=min_events)
         except InsufficientEventsError:
-            return RegionEstimate(
-                m=0.0, omega=AngularVelocity2(0.0, phi),
-                log_likelihood=float("-inf"), n_events=n_ev,
-                converged=False, centroid=centroid)
+            return RegionEstimate(m=0.0, n_events=n_ev, converged=False,
+                                  centroid=centroid)
+        return RegionEstimate(m=m, n_events=n_ev, converged=True,
+                              centroid=centroid)
 
     per_region = {rid: solve_region(rid) for rid in mask.region_ids}
     return AlignmentResult(phi_global=phi, per_region=per_region,
@@ -195,7 +194,8 @@ def align_window_3dof(w: EventWindow, intr: CameraIntrinsics,
                       params: NBParams | None = None,
                       phi_samples: int = DEFAULT_PHI_SAMPLES,
                       min_events: int = DEFAULT_MIN_EVENTS,
-                      grid_n: int = 50, m_max: float | None = None,
+                      grid_n: int = DEFAULT_GRID_N,
+                      m_max: float | None = None,
                       wz_samples: int = 11,
                       wz_max: float | None = None) -> AngularVelocity3:
     """Full-frame 3-DOF rotation estimate for rotation-dominant data.

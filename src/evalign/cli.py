@@ -46,27 +46,30 @@ EXIT_NO_RESULT = 3
 
 
 def _config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--dt", type=float, default=0.05,
-                        help="window length in seconds (default 0.05)")
-    parser.add_argument("--sigma-proc", type=float, default=0.1,
-                        help="Kalman process noise std (default 0.1)")
-    parser.add_argument("--nb-r", type=float, default=0.25,
-                        help="NB dispersion (default 0.25)")
+    # 'auto' and an absent --hot-thresh mean the RunConfig default None
+    d = RunConfig()
+    parser.add_argument("--dt", type=float, default=d.dt,
+                        help="window length in seconds (default %(default)s)")
+    parser.add_argument("--sigma-proc", type=float, default=d.sigma_proc,
+                        help="Kalman process noise std (default %(default)s)")
+    parser.add_argument("--nb-r", type=float, default=d.nb_r,
+                        help="NB dispersion (default %(default)s)")
     parser.add_argument("--nb-q", default="auto",
                         help="NB success probability or 'auto' for "
                              "per-window moment matching (default auto)")
     parser.add_argument("--m-max", default="auto",
                         help="magnitude search bound in rad/s or 'auto'")
-    parser.add_argument("--grid-n", type=int, default=50,
-                        help="magnitude grid points (default 50)")
-    parser.add_argument("--phi-samples", type=int, default=36,
-                        help="coarse direction samples (default 36)")
-    parser.add_argument("--min-events", type=int, default=50,
-                        help="minimum events per region (default 50)")
-    parser.add_argument("--hot-thresh", type=float, default=None,
+    parser.add_argument("--grid-n", type=int, default=d.grid_n,
+                        help="magnitude grid points (default %(default)s)")
+    parser.add_argument("--phi-samples", type=int, default=d.phi_samples,
+                        help="coarse direction samples (default %(default)s)")
+    parser.add_argument("--min-events", type=int, default=d.min_events,
+                        help="minimum events per region "
+                             "(default %(default)s)")
+    parser.add_argument("--hot-thresh", type=float, default=d.hot_threshold,
                         help="hot-pixel rate threshold (events/s; off by "
                              "default)")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=d.seed)
     parser.add_argument("--intrinsics", default=None,
                         help="fx,fy,cx,cy (default: fx=fy=1.2*max(w,h), "
                              "principal point at the sensor center)")

@@ -10,7 +10,7 @@ Image-shaped arrays (count images, label grids) use numpy's [row, col] =
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -266,50 +266,13 @@ def accumulate(positions: np.ndarray, width: int, height: int) -> CountImage:
 def _splat(positions: np.ndarray, width: int, height: int) -> np.ndarray:
     """Bilinear splat of a (B, N, 2) position batch into (B, height, width).
 
-    Implemented with a single weighted bincount over flattened
-    (batch, y, x) indices; in-bounds mass is conserved exactly and
-    out-of-bounds fragments are dropped.
-    """
-    b, n, _ = positions.shape
-    if n == 0:
-        return np.zeros((b, height, width))
-    x = positions[..., 0]
-    y = positions[..., 1]
-    x0 = np.floor(x)
-    y0 = np.floor(y)
-    fx = x - x0
-    fy = y - y0
-    x0 = x0.astype(np.int64)
-    y0 = y0.astype(np.int64)
-    batch = np.broadcast_to(np.arange(b, dtype=np.int64)[:, None], (b, n))
-
-    idx_parts = []
-    w_parts = []
-    for dx, dy, w in (
-        (0, 0, (1 - fx) * (1 - fy)),
-        (1, 0, fx * (1 - fy)),
-        (0, 1, (1 - fx) * fy),
-        (1, 1, fx * fy),
-    ):
-        xi = x0 + dx
-        yi = y0 + dy
-        ok = (xi >= 0) & (xi < width) & (yi >= 0) & (yi < height)
-        idx_parts.append(((batch[ok] * height + yi[ok]) * width + xi[ok]))
-        w_parts.append(w[ok])
-    flat = np.bincount(
-        np.concatenate(idx_parts),
-        weights=np.concatenate(w_parts),
-        minlength=b * height * width,
-    )
-    return flat.reshape(b, height, width)
-
-
-def _splat_interior(positions: np.ndarray, width: int, height: int) -> np.ndarray:
-    """Bilinear splat without bounds checks.
-
-    Precondition: every position lies in [1, width-2) x [1, height-2) so
-    all four neighbor pixels exist. The likelihood scorer guarantees this
-    by sizing its canvas from the position extents.
+    One weighted bincount over flattened (batch, y, x) indices, laid out
+    corner-major (all top-left fragments, then top-right, bottom-left,
+    bottom-right), so every pixel sums its fragments in a fixed order.
+    The in-bounds mask runs only when some floored position puts a
+    fragment off the canvas (x0 < 0, x0 >= width - 1, or likewise in y);
+    those fragments are dropped. Otherwise, as on the likelihood scorer's
+    tight canvas, no mask is built. In-bounds mass is conserved exactly.
     """
     b, n, _ = positions.shape
     x = positions[..., 0]
@@ -332,6 +295,13 @@ def _splat_interior(positions: np.ndarray, width: int, height: int) -> np.ndarra
     wts[1] = fx * gy
     wts[2] = gx * fy
     wts[3] = fx * fy
-    flat = np.bincount(idx.ravel(), weights=wts.ravel(),
-                       minlength=b * height * width)
+    idx = idx.ravel()
+    wts = wts.ravel()
+    if n and (x0.min() < 0 or x0.max() >= width - 1
+              or y0.min() < 0 or y0.max() >= height - 1):
+        x_in = ((x0 >= 0) & (x0 < width), (x0 >= -1) & (x0 < width - 1))
+        y_in = ((y0 >= 0) & (y0 < height), (y0 >= -1) & (y0 < height - 1))
+        ok = np.stack([xi & yi for yi in y_in for xi in x_in]).ravel()
+        idx, wts = idx[ok], wts[ok]
+    flat = np.bincount(idx, weights=wts, minlength=b * height * width)
     return flat.reshape(b, height, width)

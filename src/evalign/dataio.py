@@ -122,6 +122,8 @@ def read_masks(path) -> tuple[list[tuple[float, RegionMask]], int, int]:
             if len(parts) != 2 or parts[0] != "win":
                 raise ParseError("expected 'win <t_start>'", line=ln)
             t_start = float(parts[1])
+            if not math.isfinite(t_start):
+                raise ParseError("window start must be finite", line=ln)
             rows = np.empty((height, width), dtype=np.int32)
             for r in range(height):
                 ln += 1
@@ -161,6 +163,8 @@ def read_imu(path) -> ImuTrace:
                 vals = [float(v) for v in parts]
             except ValueError:
                 raise ParseError("malformed number", line=ln) from None
+            if not all(math.isfinite(v) for v in vals):
+                raise ParseError("t, wx, wy and wz must be finite", line=ln)
             if vals[0] <= prev_t:
                 raise ParseError("timestamps must be strictly increasing",
                                  line=ln)
@@ -196,16 +200,20 @@ def read_gt_depth(path) -> list[tuple[float, dict[int, float]]]:
             if parts[0] == "win":
                 if len(parts) != 2:
                     raise ParseError("expected 'win <t_start>'", line=ln)
+                t_start = float(parts[1])
+                if not math.isfinite(t_start):
+                    raise ParseError("window start must be finite", line=ln)
                 current = {}
-                out.append((float(parts[1]), current))
+                out.append((t_start, current))
             else:
                 if current is None:
                     raise ParseError("region line before any 'win'", line=ln)
                 if len(parts) != 2:
                     raise ParseError("expected 'region_id z'", line=ln)
                 rid, z = int(parts[0]), float(parts[1])
-                if z <= 0:
-                    raise ParseError("depth must be positive", line=ln)
+                if not (math.isfinite(z) and z > 0):
+                    raise ParseError("depth must be positive and finite",
+                                     line=ln)
                 current[rid] = z
     if len(out) != n_win:
         raise ParseError(f"expected {n_win} windows, found {len(out)}")

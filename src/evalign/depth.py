@@ -15,12 +15,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .align import AlignmentResult
 from .core import CameraIntrinsics, RegionMask
 from .errors import DegenerateFlowError, EvalignError
-from .warp import FlowVector, rot_flow
+from .warp import AngularVelocity2, FlowVector, rot_flow
 
 EPS_FLOW = 1e-3       # px/s; below this the pseudo-inverse is unusable
 REFERENCE_VAR = 1e-4  # variance floor that pins the reference track
@@ -46,13 +44,18 @@ class DistanceTrack:
 
 
 @dataclass(frozen=True)
-class RegionDepthReport:
+class DepthRow:
+    """One region in one window: its alignment and its tracked distance."""
+
+    t_start: float
     region_id: int
+    phi: float        # the window's shared direction; nan if alignment failed
+    m: float          # nan if alignment failed
     d_meas: float     # nan when no usable measurement this window
-    d_track: float
+    d_track: float    # nan while the region has no track
     var: float
     converged: bool   # True when a measurement was applied
-    is_reference: bool = False
+    is_reference: bool
 
 
 def select_reference(mask: RegionMask, result: AlignmentResult) -> int:
@@ -116,7 +119,8 @@ def region_flows(result: AlignmentResult, intr: CameraIntrinsics) -> dict[int, R
         flows[rid] = RegionFlow(
             region_id=rid,
             centroid=est.centroid,
-            v_r=rot_flow(est.omega.as_3dof(), est.centroid, intr),
+            v_r=rot_flow(AngularVelocity2(est.m, result.phi_global).as_3dof(),
+                         est.centroid, intr),
         )
     return flows
 
@@ -125,12 +129,13 @@ def estimate_window_depth(result: AlignmentResult, mask: RegionMask,
                           intr: CameraIntrinsics,
                           tracks: dict[int, DistanceTrack],
                           sigma_proc: float,
-                          t: float = 0.0) -> list[RegionDepthReport]:
+                          t: float = 0.0) -> list[DepthRow]:
     """One tracking step: flows, reference selection, measurement, filtering.
 
-    Mutates the track map in place and returns the per-region report.
-    Regions without a usable measurement coast on prediction; when no
-    region converged at all, every existing track coasts.
+    Mutates the track map in place and returns one row per region of the
+    result, stamped with window start t. Regions without a usable
+    measurement coast on prediction; when no region converged at all,
+    every existing track coasts.
     """
     flows = region_flows(result, intr)
     try:
@@ -141,38 +146,49 @@ def estimate_window_depth(result: AlignmentResult, mask: RegionMask,
     except (EvalignError, KeyError):
         ref_id = None
 
-    reports = []
+    phi, nan = result.phi_global, float("nan")
+    rows = []
     for rid in sorted(result.per_region):
-        if ref_id is None:
-            d_meas = float("nan")
-        elif rid == ref_id:
+        m = result.per_region[rid].m
+        if rid == ref_id:
             tracks[rid] = DistanceTrack(rid, 1.0, REFERENCE_VAR, t)
-            reports.append(RegionDepthReport(rid, 1.0, 1.0, REFERENCE_VAR,
-                                             True, is_reference=True))
+            rows.append(DepthRow(t, rid, phi, m, 1.0, 1.0, REFERENCE_VAR,
+                                 True, True))
             continue
-        else:
+        d_meas = nan
+        if ref_id is not None:
             try:
                 d_meas = relative_distance(flows[rid].v_r, v_ref)
             except (DegenerateFlowError, KeyError):
-                d_meas = float("nan")
+                pass
 
         track = tracks.get(rid)
-        applied = False
         if track is not None:
             track = track_predict(track, sigma_proc)
-        if not math.isnan(d_meas) and d_meas > 0:
-            if track is None:
-                mag = flows[rid].v_r.magnitude()
-                track = DistanceTrack(rid, d_meas, 1.0 / (mag * mag), t)
-            else:
-                track = track_update(track, d_meas, flows[rid].v_r)
-            applied = True
-        if track is not None:
-            track = DistanceTrack(track.region_id, track.d, track.var, t)
-            tracks[rid] = track
-            reports.append(RegionDepthReport(rid, d_meas, track.d, track.var,
-                                             applied))
-        else:
-            reports.append(RegionDepthReport(rid, d_meas, float("nan"),
-                                             float("nan"), False))
-    return reports
+        applied = d_meas > 0  # False for nan
+        if applied and track is None:
+            mag = flows[rid].v_r.magnitude()
+            track = DistanceTrack(rid, d_meas, 1.0 / (mag * mag), t)
+        elif applied:
+            track = track_update(track, d_meas, flows[rid].v_r)
+        if track is None:
+            rows.append(DepthRow(t, rid, phi, m, d_meas, nan, nan, False,
+                                 False))
+            continue
+        tracks[rid] = DistanceTrack(rid, track.d, track.var, t)
+        rows.append(DepthRow(t, rid, phi, m, d_meas, track.d, track.var,
+                             applied, False))
+    return rows
+
+
+def coast_tracks(tracks: dict[int, DistanceTrack], sigma_proc: float,
+                 t: float) -> list[DepthRow]:
+    """Rows of a window whose alignment failed: every track takes a predict
+    step (in place) and is reported without a measurement."""
+    nan = float("nan")
+    rows = []
+    for rid in sorted(tracks):
+        tracks[rid] = track = track_predict(tracks[rid], sigma_proc)
+        rows.append(DepthRow(t, rid, nan, nan, nan, track.d, track.var,
+                             False, False))
+    return rows

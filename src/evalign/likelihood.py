@@ -39,13 +39,15 @@ from functools import cached_property
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .core import CameraIntrinsics, EventWindow, _splat, _splat_interior
+from .core import CameraIntrinsics, EventWindow, _splat
 from .errors import ValidationError
 from .warp import AngularVelocity2, flow_basis
 
 # Default NB dispersion; must stay below 1 (see module docstring). q is
 # moment-matched per window unless given explicitly.
 DEFAULT_NB_R = 0.25
+
+DEFAULT_GRID_N = 50
 
 # Auto magnitude-grid rule: m_max = MMAX_FACTOR * median displacement /
 # (f * dt), clamped to [MMAX_FLOOR, MMAX_CAP] rad/s.
@@ -64,15 +66,17 @@ class NBParams:
     """Negative binomial parameters: dispersion r > 0, success prob q in (0,1).
 
     pmf(k) = Gamma(k+r) / (k! Gamma(r)) * q^r * (1-q)^k, mean r(1-q)/q.
+    q=None asks for per-window moment matching: WindowObjective replaces
+    it by moment_match of the window's mean in-region count per pixel.
     """
 
-    r: float
-    q: float
+    r: float = DEFAULT_NB_R
+    q: float | None = None
 
     def __post_init__(self):
         if not (self.r > 0):
             raise ValidationError("NB dispersion r must be positive")
-        if not (0.0 < self.q < 1.0):
+        if self.q is not None and not (0.0 < self.q < 1.0):
             raise ValidationError("NB success probability q must be in (0, 1)")
 
     @classmethod
@@ -83,34 +87,18 @@ class NBParams:
         return cls(r, q)
 
 
-@dataclass(frozen=True)
-class NBSpec:
-    """Request for per-window moment matching with a given dispersion.
-
-    Passing this (or None) where NBParams is expected defers the choice of
-    q to the window being scored.
-    """
-
-    r: float = DEFAULT_NB_R
-
-    def __post_init__(self):
-        if not (self.r > 0):
-            raise ValidationError("NB dispersion r must be positive")
-
-
 def nb_log_pmf(k, params: NBParams):
     """log pmf of the negative binomial at integer count(s) k >= 0.
 
-    Computed via log-gamma; accepts scalars or arrays.
+    Computed via log-gamma; accepts scalars or arrays. params must carry
+    a resolved q (not None).
     """
+    if params.q is None:
+        raise ValidationError("NB success probability q is not resolved")
     k_arr = np.asarray(k)
     if np.any(k_arr < 0) or not np.all(np.equal(np.mod(k_arr, 1), 0)):
         raise ValidationError("k must be a non-negative integer")
-    r, q = params.r, params.q
-    out = (
-        gammaln(k_arr + r) - gammaln(k_arr + 1) - gammaln(r)
-        + r * math.log(q) + k_arr * math.log1p(-q)
-    )
+    out = _nb_log_density(k_arr, params)
     return float(out) if np.isscalar(k) else out
 
 
@@ -119,7 +107,7 @@ class MagnitudeGrid:
     """Evenly spaced magnitudes over [0, m_max] (uniform prior support)."""
 
     m_max: float
-    n: int = 50
+    n: int = DEFAULT_GRID_N
 
     def __post_init__(self):
         if not (self.m_max > 0):
@@ -133,7 +121,8 @@ class MagnitudeGrid:
 
     @classmethod
     def for_window(cls, w: EventWindow, intr: CameraIntrinsics,
-                   n: int = 50, m_max: float | None = None) -> "MagnitudeGrid":
+                   n: int = DEFAULT_GRID_N,
+                   m_max: float | None = None) -> "MagnitudeGrid":
         """Build a grid; m_max defaults to the displacement-based auto rule."""
         if m_max is None:
             m_max = auto_m_max(w, intr)
@@ -192,15 +181,15 @@ class WindowObjective:
 
     Warping is linear in omega, so for a fixed direction the warped
     positions along a magnitude ray are base - m * step; a whole ray is
-    splatted and scored in one batched pass. NB parameters default to
-    moment matching against the window's mean in-region count per pixel,
-    computed from the raw (unwarped) positions so the parameters are
-    identical for every candidate omega.
+    splatted and scored in one batched pass. params None means NBParams();
+    a q of None is moment-matched against the window's mean in-region
+    count per pixel, computed from the raw (unwarped) positions so the
+    parameters are identical for every candidate omega.
     """
 
     def __init__(self, w: EventWindow, intr: CameraIntrinsics,
                  region: np.ndarray | None = None,
-                 params: NBParams | NBSpec | None = None):
+                 params: NBParams | None = None):
         ev = w.events
         self.width, self.height = intr.width, intr.height
         if region is None:
@@ -225,8 +214,8 @@ class WindowObjective:
         self.dt = (sub.t - w.t_ref)[:, None]
         self.jac = flow_basis(sub.x, sub.y, intr)[:, :, :2]  # pan/tilt columns
         if params is None:
-            params = NBSpec()
-        if isinstance(params, NBSpec):
+            params = NBParams()
+        if params.q is None:
             params = NBParams.moment_match(
                 self.n_events_in_region / self.n_region_px, r=params.r)
         self.params = params
@@ -236,8 +225,9 @@ class WindowObjective:
     def _score_positions(self, pos: np.ndarray) -> np.ndarray:
         """Likelihood of a (B, N, 2) warped-position batch.
 
-        Splats onto a canvas that tightly covers the batch so no mass is
-        dropped; untouched pixels contribute zero on top of the base term.
+        Splats onto a canvas that covers the batch with a one-pixel margin,
+        so no mass is dropped and _splat never needs its in-bounds mask;
+        untouched pixels contribute zero on top of the base term.
         Batches are scored in chunks so rows with small warped extents do
         not pay for the canvas of the largest one.
         """
@@ -254,7 +244,7 @@ class WindowObjective:
             w_c = math.floor(float(part[..., 0].max())) + 3 - x_lo
             h_c = math.floor(float(part[..., 1].max())) + 3 - y_lo
             shifted = part - np.array([x_lo, y_lo], dtype=np.float64)
-            flat = _splat_interior(shifted, w_c, h_c).reshape(nb * h_c * w_c)
+            flat = _splat(shifted, w_c, h_c).reshape(nb * h_c * w_c)
             nz = np.flatnonzero(flat)
             if nz.size:
                 diff = _nb_log_density(flat[nz], self.params) - self._log_pmf0
@@ -278,33 +268,13 @@ class WindowObjective:
         return self._score_positions(pos)
 
 
-def window_log_likelihood(w: EventWindow, omega: AngularVelocity2,
-                          region: np.ndarray | None, params: NBParams | None,
-                          intr: CameraIntrinsics) -> float:
-    """NB log-likelihood of the count image after warping w by omega.
-
-    region is a boolean (height, width) mask or None for the full frame;
-    params None selects per-window moment matching. The region selects
-    which events are scored; counts are accumulated wherever the warp puts
-    them (see module docstring).
-    """
-    return WindowObjective(w, intr, region, params).log_likelihood(omega)
-
-
-def marginal_log_likelihood(w: EventWindow, phi: float, grid: MagnitudeGrid,
-                            region: np.ndarray | None, params: NBParams | None,
-                            intr: CameraIntrinsics) -> float:
-    """log integral over magnitude of the window likelihood along phi.
-
-    Trapezoid quadrature combined in log space; the constant uniform-prior
-    density 1/m_max is dropped.
-    """
-    obj = WindowObjective(w, intr, region, params)
-    return marginal_from_objective(obj, phi, grid)
-
-
 def marginal_from_objective(obj: WindowObjective, phi: float,
                             grid: MagnitudeGrid) -> float:
+    """log integral over magnitude of the window likelihood along phi.
+
+    Trapezoid quadrature over the grid combined in log space; the constant
+    uniform-prior density 1/m_max is dropped.
+    """
     inner = obj.log_likelihood_ray(phi, grid.values)
     h = grid.m_max / (grid.n - 1)
     log_w = np.full(grid.n, math.log(h))

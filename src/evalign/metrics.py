@@ -51,8 +51,20 @@ def depth_metrics(pred: dict[int, float], gt: dict[int, float]) -> DepthMetrics:
     keys = sorted(set(pred) & set(gt))
     if not keys:
         raise ValidationError("prediction and ground truth share no regions")
-    p = np.array([pred[k] for k in keys], dtype=np.float64)
-    g = np.array([gt[k] for k in keys], dtype=np.float64)
+    return _depth_metrics(np.array([pred[k] for k in keys], dtype=np.float64),
+                          np.array([gt[k] for k in keys], dtype=np.float64))
+
+
+def pool_depth_metrics(pairs: list[tuple[float, float]]) -> DepthMetrics:
+    """Aggregate metrics over pooled (pred, gt) pairs from many windows."""
+    if not pairs:
+        raise ValidationError("no (pred, gt) pairs to aggregate")
+    p, g = (np.array(col, dtype=np.float64) for col in zip(*pairs))
+    return _depth_metrics(p, g)
+
+
+def _depth_metrics(p: np.ndarray, g: np.ndarray) -> DepthMetrics:
+    """Depth errors of paired, non-empty prediction and truth arrays."""
     if np.any(p <= 0) or np.any(g <= 0):
         raise ValidationError("depth values must be positive")
     diff = p - g
@@ -62,16 +74,7 @@ def depth_metrics(pred: dict[int, float], gt: dict[int, float]) -> DepthMetrics:
     srd = float(np.mean(diff**2 / g))
     ratio = np.maximum(p / g, g / p)
     d1, d2, d3 = (100.0 * float(np.mean(ratio < 1.25**n)) for n in (1, 2, 3))
-    return DepthMetrics(rmse_lin, rmse_log, ard, srd, d1, d2, d3, len(keys))
-
-
-def pool_depth_metrics(pairs: list[tuple[float, float]]) -> DepthMetrics:
-    """Aggregate metrics over pooled (pred, gt) pairs from many windows."""
-    if not pairs:
-        raise ValidationError("no (pred, gt) pairs to aggregate")
-    pred = {i: p for i, (p, _) in enumerate(pairs)}
-    gt = {i: g for i, (_, g) in enumerate(pairs)}
-    return depth_metrics(pred, gt)
+    return DepthMetrics(rmse_lin, rmse_log, ard, srd, d1, d2, d3, p.size)
 
 
 def angvel_metrics(pred: list[AngularVelocity3], gt: list[AngularVelocity3],

@@ -10,7 +10,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .align import align_window, align_window_3dof
+from .align import (
+    DEFAULT_MIN_EVENTS,
+    DEFAULT_PHI_SAMPLES,
+    align_window,
+    align_window_3dof,
+)
 from .core import (
     CameraIntrinsics,
     Events,
@@ -18,10 +23,10 @@ from .core import (
     slice_windows,
     slice_windows_count,
 )
-from .depth import estimate_window_depth, track_predict
+from .depth import DepthRow, coast_tracks, estimate_window_depth
 from .errors import InsufficientEventsError, ValidationError
-from .likelihood import DEFAULT_NB_R, NBParams, NBSpec
-from .metrics import DepthMetrics, depth_metrics, pool_depth_metrics
+from .likelihood import DEFAULT_GRID_N, DEFAULT_NB_R, NBParams
+from .metrics import DepthMetrics, pool_depth_metrics
 from .warp import AngularVelocity3, ImuTrace
 
 
@@ -34,35 +39,19 @@ class RunConfig:
     nb_r: float = DEFAULT_NB_R
     nb_q: float | None = None      # None = per-window moment matching
     m_max: float | None = None     # None = displacement-based auto rule
-    grid_n: int = 50
-    phi_samples: int = 36
-    min_events: int = 50
+    grid_n: int = DEFAULT_GRID_N
+    phi_samples: int = DEFAULT_PHI_SAMPLES
+    min_events: int = DEFAULT_MIN_EVENTS
     hot_threshold: float | None = None  # None = hot-pixel filter off
     seed: int = 0
 
-    def nb_params(self) -> NBParams | NBSpec:
-        if self.nb_q is not None:
-            return NBParams(self.nb_r, self.nb_q)
-        return NBSpec(self.nb_r)
-
-
-@dataclass(frozen=True)
-class DepthRow:
-    t_start: float
-    region_id: int
-    phi: float
-    m: float
-    d_meas: float
-    d_track: float
-    var: float
-    converged: bool
-    is_reference: bool
+    def nb_params(self) -> NBParams:
+        return NBParams(self.nb_r, self.nb_q)
 
 
 @dataclass
 class DepthRunResult:
     rows: list[DepthRow] = field(default_factory=list)
-    n_windows: int = 0
     n_converged_windows: int = 0
 
 
@@ -76,7 +65,7 @@ def run_depth(events: Events, intr: CameraIntrinsics, cfg: RunConfig,
     """
     windows = slice_windows(events, cfg.dt)
     tracks = {}
-    out = DepthRunResult(n_windows=len(windows))
+    out = DepthRunResult()
     params = cfg.nb_params()
     for k, w in enumerate(windows):
         mask = mask_provider(k, w.t_start)
@@ -86,23 +75,13 @@ def run_depth(events: Events, intr: CameraIntrinsics, cfg: RunConfig,
                 phi_samples=cfg.phi_samples, min_events=cfg.min_events,
                 grid_n=cfg.grid_n, m_max=cfg.m_max)
         except InsufficientEventsError:
-            for rid in sorted(tracks):
-                tracks[rid] = track_predict(tracks[rid], cfg.sigma_proc)
-                tr = tracks[rid]
-                out.rows.append(DepthRow(w.t_start, rid, float("nan"),
-                                         float("nan"), float("nan"),
-                                         tr.d, tr.var, False, False))
+            out.rows.extend(coast_tracks(tracks, cfg.sigma_proc, w.t_start))
             continue
-        reports = estimate_window_depth(result, mask, intr, tracks,
-                                        cfg.sigma_proc, t=w.t_start)
-        if any(r.converged for r in reports):
+        rows = estimate_window_depth(result, mask, intr, tracks,
+                                     cfg.sigma_proc, t=w.t_start)
+        if any(r.converged for r in rows):
             out.n_converged_windows += 1
-        for rep in reports:
-            est = result.per_region[rep.region_id]
-            out.rows.append(DepthRow(
-                w.t_start, rep.region_id, result.phi_global, est.m,
-                rep.d_meas, rep.d_track, rep.var, rep.converged,
-                rep.is_reference))
+        out.rows.extend(rows)
     return out
 
 
@@ -159,18 +138,14 @@ def evaluate_depth_run(result: DepthRunResult,
         if ref is None or ref.region_id not in gt_z:
             continue
         z_ref = gt_z[ref.region_id]
-        pred, gt_d = {}, {}
-        for r in rows:
-            # the reference is pinned at d=1 by construction; scoring it
-            # would only dilute the metrics
-            if r.is_reference:
-                continue
-            if r.region_id in gt_z and not math.isnan(r.d_track):
-                pred[r.region_id] = r.d_track
-                gt_d[r.region_id] = gt_z[r.region_id] / z_ref
-        if pred:
-            per_window.append((t_start, depth_metrics(pred, gt_d)))
-            pooled.extend((pred[k], gt_d[k]) for k in pred)
+        # the reference is pinned at d=1 by construction; scoring it would
+        # only dilute the metrics. Rows are in region order.
+        pairs = [(r.d_track, gt_z[r.region_id] / z_ref) for r in rows
+                 if not r.is_reference and r.region_id in gt_z
+                 and not math.isnan(r.d_track)]
+        if pairs:
+            per_window.append((t_start, pool_depth_metrics(pairs)))
+            pooled.extend(pairs)
     if not pooled:
         raise ValidationError("no overlapping regions between run and gt")
     return per_window, pool_depth_metrics(pooled)

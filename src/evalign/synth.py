@@ -110,6 +110,8 @@ class MotionSpec:
                 raise ValidationError("omega_profile rows must be (t, wx, wy, wz)")
             if np.any(np.diff(prof[:, 0]) <= 0):
                 raise ValidationError("omega_profile times must increase")
+            if not np.all(np.isfinite(prof)):
+                raise ValidationError("angular velocity must be finite")
             if prof[0, 0] != 0.0:
                 raise ValidationError("omega_profile must start at t=0")
             object.__setattr__(self, "omega_profile", prof)
@@ -117,6 +119,8 @@ class MotionSpec:
         else:
             om = np.zeros(3) if self.omega is None else (
                 np.ascontiguousarray(self.omega, dtype=np.float64).reshape(3))
+            if not np.all(np.isfinite(om)):
+                raise ValidationError("angular velocity must be finite")
             object.__setattr__(self, "omega", om)
 
     def omega_at(self, t) -> np.ndarray:

@@ -99,6 +99,8 @@ class ImuTrace:
         om = np.ascontiguousarray(self.omega, dtype=np.float64).reshape(-1, 3)
         if t.ndim != 1 or t.size != om.shape[0]:
             raise ValidationError("IMU sample arrays have inconsistent shapes")
+        if not (np.isfinite(t).all() and np.isfinite(om).all()):
+            raise ValidationError("IMU timestamps and rates must be finite")
         if t.size and np.any(np.diff(t) <= 0):
             raise ValidationError("IMU timestamps must be strictly increasing")
         object.__setattr__(self, "t", t)

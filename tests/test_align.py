@@ -20,7 +20,6 @@ from evalign import (
     estimate_direction,
     estimate_magnitude,
     generate,
-    window_log_likelihood,
 )
 from evalign.errors import InsufficientEventsError
 from evalign.likelihood import WindowObjective
@@ -152,11 +151,17 @@ class TestAlignWindow:
         assert m_near / m_far == pytest.approx(2.0, abs=0.1)
 
     def test_shared_direction_exact(self, intr, symmetric_two_plane):
+        # every region's magnitude is the one found along the shared
+        # direction, bit for bit
         _, _, res = symmetric_two_plane
         w = res.event_windows()[0]
-        result = align_window(w, res.windows[0].mask, None, None, None, intr)
-        phis = {est.omega.phi for est in result.per_region.values()}
-        assert phis == {result.phi_global}
+        mask = res.windows[0].mask
+        grid = MagnitudeGrid.for_window(w, intr)
+        result = align_window(w, mask, None, grid, None, intr)
+        for rid, est in result.per_region.items():
+            m, _ = estimate_magnitude(w, result.phi_global,
+                                      mask.bool_mask(rid), grid, None, intr)
+            assert est.m == m
 
     def test_full_frame_region_matches_estimate_magnitude(self, intr,
                                                           two_plane_run):
@@ -185,17 +190,16 @@ class TestAlignWindow:
         w = res.event_windows()[0]
         mask = res.windows[0].mask
         result = align_window(w, mask, None, None, None, intr)
+        phi = result.phi_global
         for rid, est in result.per_region.items():
-            region = mask.bool_mask(rid)
-            ll_best = window_log_likelihood(w, est.omega, region, None, intr)
+            obj = WindowObjective(w, intr, mask.bool_mask(rid), None)
+            ll_best = obj.log_likelihood(AngularVelocity2(est.m, phi))
             for dphi in (math.radians(5), -math.radians(5)):
-                other = AngularVelocity2(est.m, est.omega.phi + dphi)
-                assert ll_best >= window_log_likelihood(w, other, region,
-                                                        None, intr)
+                other = AngularVelocity2(est.m, phi + dphi)
+                assert ll_best >= obj.log_likelihood(other)
             for dm in (1.1, 0.9):
-                other = AngularVelocity2(est.m * dm, est.omega.phi)
-                assert ll_best >= window_log_likelihood(w, other, region,
-                                                        None, intr)
+                other = AngularVelocity2(est.m * dm, phi)
+                assert ll_best >= obj.log_likelihood(other)
 
     def test_pooled_scan_matches_serial(self, intr, symmetric_two_plane,
                                         serial_scan):

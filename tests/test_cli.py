@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import evalign
-from evalign.cli import main
+from evalign.cli import _build_config, build_parser, main
+from evalign.pipeline import RunConfig
 from evalign.dataio import read_events, read_gt_depth, read_imu, read_masks
 
 FAST = ["--phi-samples", "12", "--grid-n", "15", "--min-events", "30"]
@@ -167,6 +168,36 @@ class TestDepthCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: line {len(lines) + 1}: ")
         assert "finite" in err and "Traceback" not in err
+
+
+    @pytest.mark.parametrize("flag, name, header, bad", [
+        ("--imu", "bad.imu", "imu1", "0.05 nan 0.0 0.0"),
+        ("--gt", "bad.gtd", "gtd1 1\nwin 0.0", "1 nan"),
+    ])
+    def test_non_finite_side_file_exit_2(self, dataset, tmp_path, capsys,
+                                         flag, name, header, bad):
+        # line 2 is good, the bad line follows it
+        good = "0.0 0.0 0.0 0.0" if flag == "--imu" else "2 2.0"
+        side = tmp_path / name
+        side.write_text(f"{header}\n{good}\n{bad}\n")
+        bad_line = header.count("\n") + 3
+        code = main(["depth", "--events", str(dataset / "events.evt"),
+                     "--mask", str(dataset / "masks.msk"), flag, str(side),
+                     "--out", str(tmp_path / "out"),
+                     "--intrinsics", "170,170,79.5,59.5", *FAST])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: line {bad_line}: ")
+        assert "finite" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, required", [
+    ("depth", ["--events", "e", "--mask", "m", "--out", "o"]),
+    ("angvel", ["--events", "e", "--imu-gt", "g", "--out", "o"]),
+])
+def test_flag_defaults_are_run_config_defaults(command, required):
+    args = build_parser().parse_args([command, *required])
+    assert _build_config(args) == RunConfig()
 
 
 class TestAngvelCommand:

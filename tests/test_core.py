@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from evalign import Events, accumulate, slice_windows, slice_windows_count
+from evalign.core import _splat
 from evalign.errors import ValidationError
 
 
@@ -113,6 +114,34 @@ class TestAccumulate:
         np.testing.assert_allclose(ci.counts, expected, atol=1e-12)
         assert ci.dropped == pytest.approx(dropped)
         assert ci.total + ci.dropped == pytest.approx(3.0)
+
+    def test_batches_match_brute_force(self):
+        """B > 1 batches whose rows lie inside the canvas, straddle its
+        edges or sit on integer positions, and an empty batch."""
+        rng = np.random.default_rng(5)
+        w, h = 24, 17
+        inside = rng.uniform(1.0, [w - 2, h - 2], size=(3, 40, 2))
+        straddle = rng.uniform(-2.5, [w + 1.5, h + 1.5], size=(2, 40, 2))
+        # one batch per canvas edge, each crossing that edge alone; past
+        # the right or bottom edge only the x0 + 1 or y0 + 1 fragment
+        # leaves the canvas
+        edges = [rng.uniform(lo, hi, size=(2, 40, 2)) for lo, hi in (
+            ([-1.0, 0.0], [0.0, h - 1]), ([w - 1, 0.0], [w, h - 1]),
+            ([0.0, -1.0], [w - 1, 0.0]), ([0.0, h - 1], [w - 1, h]))]
+        on_lattice = rng.integers(-1, [w + 1, h + 1], size=(2, 40, 2))
+        for batch in (inside, np.concatenate((inside, straddle)), *edges,
+                      np.concatenate((on_lattice.astype(float), inside))):
+            out = _splat(batch, w, h)
+            assert out.shape == (batch.shape[0], h, w)
+            for row, img in zip(batch, out):
+                expected, _ = brute_force_splat(row, w, h)
+                np.testing.assert_allclose(img, expected, atol=1e-12)
+        # in-canvas rows come out bit for bit the same with and without
+        # the in-bounds mask (forced here by the straddling rows)
+        mixed = _splat(np.concatenate((inside, straddle)), w, h)
+        assert np.array_equal(mixed[:3], _splat(inside, w, h))
+        assert np.array_equal(_splat(np.empty((3, 0, 2)), w, h),
+                              np.zeros((3, h, w)))
 
     def test_splat_touches_at_most_four_pixels(self):
         rng = np.random.default_rng(4)

@@ -96,6 +96,14 @@ class TestMaskFile:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+    @pytest.mark.parametrize("t", ["nan", "inf"])
+    def test_non_finite_window_start_reports_line(self, tmp_path, t):
+        p = tmp_path / "bad.msk"
+        p.write_text(f"msk1 2 1 2\nwin 0.0\n1 1\nwin {t}\n1 1\n")
+        with pytest.raises(ParseError, match="line 4: .*finite"):
+            read_masks(p)
+
+
 class TestImuFile:
     def test_round_trip_byte_identical(self, tmp_path):
         rng = np.random.default_rng(25)
@@ -115,6 +123,14 @@ class TestImuFile:
         with pytest.raises(ParseError, match="line 3"):
             read_imu(p)
 
+    @pytest.mark.parametrize("line", ["nan 0 0 0", "0.2 inf 0 0",
+                                      "0.2 0 nan 0", "0.2 0 0 -inf"])
+    def test_non_finite_reports_line(self, tmp_path, line):
+        p = tmp_path / "bad.imu"
+        p.write_text(f"imu1\n0.1 0 0 0\n{line}\n")
+        with pytest.raises(ParseError, match="line 3: .*finite"):
+            read_imu(p)
+
 
 class TestGtDepthFile:
     def test_round_trip_byte_identical(self, tmp_path):
@@ -130,6 +146,15 @@ class TestGtDepthFile:
         p = tmp_path / "bad.gtd"
         p.write_text("gtd1 1\nwin 0.0\n1 -2.0\n")
         with pytest.raises(ParseError, match="positive"):
+            read_gt_depth(p)
+
+    @pytest.mark.parametrize("body", ["win 0.0\n1 1.0\n2 nan\n",
+                                      "win 0.0\n1 1.0\n2 inf\n",
+                                      "win 0.0\n1 1.0\nwin nan\n"])
+    def test_non_finite_reports_line(self, tmp_path, body):
+        p = tmp_path / "bad.gtd"
+        p.write_text("gtd1 2\n" + body)
+        with pytest.raises(ParseError, match="line 4: .*finite"):
             read_gt_depth(p)
 
 

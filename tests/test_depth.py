@@ -7,6 +7,7 @@ import pytest
 
 from evalign import (
     AngularVelocity2,
+    DepthRow,
     DistanceTrack,
     FlowVector,
     RegionMask,
@@ -19,18 +20,18 @@ from evalign import (
     track_update,
 )
 from evalign.align import AlignmentResult, RegionEstimate
+from evalign.depth import coast_tracks
 from evalign.errors import DegenerateFlowError, EvalignError
 
 
-def fake_result(region_specs):
-    """AlignmentResult from {rid: (m, phi, centroid, converged, n)}."""
-    per_region = {}
-    for rid, (m, phi, centroid, converged, n) in region_specs.items():
-        per_region[rid] = RegionEstimate(
-            m=m, omega=AngularVelocity2(m, phi), log_likelihood=-1.0,
-            n_events=n, converged=converged, centroid=centroid)
-    return AlignmentResult(phi_global=next(iter(region_specs.values()))[1],
-                           per_region=per_region)
+def fake_result(region_specs, phi=0.0):
+    """AlignmentResult with direction phi from {rid: (m, centroid,
+    converged, n)}."""
+    per_region = {
+        rid: RegionEstimate(m=m, n_events=n, converged=converged,
+                            centroid=centroid)
+        for rid, (m, centroid, converged, n) in region_specs.items()}
+    return AlignmentResult(phi_global=phi, per_region=per_region)
 
 
 def mask_with_sizes(intr, sizes):
@@ -48,32 +49,32 @@ class TestSelectReference:
     def test_largest_converged_wins(self, intr):
         mask = mask_with_sizes(intr, {1: 500, 2: 1200, 3: 300})
         result = fake_result({
-            1: (0.1, 0.0, (5, 5), True, 100),
-            2: (0.1, 0.0, (17, 5), True, 100),
-            3: (0.1, 0.0, (29, 5), True, 100),
+            1: (0.1, (5, 5), True, 100),
+            2: (0.1, (17, 5), True, 100),
+            3: (0.1, (29, 5), True, 100),
         })
         assert select_reference(mask, result) == 2
 
     def test_unconverged_largest_skipped(self, intr):
         mask = mask_with_sizes(intr, {1: 500, 2: 1200, 3: 300})
         result = fake_result({
-            1: (0.1, 0.0, (5, 5), True, 100),
-            2: (0.1, 0.0, (17, 5), False, 10),
-            3: (0.1, 0.0, (29, 5), True, 100),
+            1: (0.1, (5, 5), True, 100),
+            2: (0.1, (17, 5), False, 10),
+            3: (0.1, (29, 5), True, 100),
         })
         assert select_reference(mask, result) == 1
 
     def test_tie_breaks_to_smaller_id(self, intr):
         mask = mask_with_sizes(intr, {1: 800, 2: 800})
         result = fake_result({
-            1: (0.1, 0.0, (5, 5), True, 100),
-            2: (0.1, 0.0, (17, 5), True, 100),
+            1: (0.1, (5, 5), True, 100),
+            2: (0.1, (17, 5), True, 100),
         })
         assert select_reference(mask, result) == 1
 
     def test_no_converged_region_raises(self, intr):
         mask = mask_with_sizes(intr, {1: 500})
-        result = fake_result({1: (0.1, 0.0, (5, 5), False, 10)})
+        result = fake_result({1: (0.1, (5, 5), False, 10)})
         with pytest.raises(EvalignError):
             select_reference(mask, result)
 
@@ -209,9 +210,9 @@ class TestEstimateWindowDepth:
         om = AngularVelocity2.from_cartesian(0.0, 0.4)
         c1, c2 = (30.0, 40.0), (150.0, 70.0)
         result = fake_result({
-            1: (om.m, om.phi, c1, True, 500),
-            2: (om.m, om.phi, c2, True, 400),
-        })
+            1: (om.m, c1, True, 500),
+            2: (om.m, c2, True, 400),
+        }, phi=om.phi)
         tracks = {}
         reports = estimate_window_depth(result, mask, intr, tracks, 0.1)
         by_id = {r.region_id: r for r in reports}
@@ -224,7 +225,7 @@ class TestEstimateWindowDepth:
 
     def test_reference_only_scene(self, intr):
         mask = mask_with_sizes(intr, {1: 900})
-        result = fake_result({1: (0.3, 1.0, (20.0, 20.0), True, 300)})
+        result = fake_result({1: (0.3, (20.0, 20.0), True, 300)}, phi=1.0)
         reports = estimate_window_depth(result, mask, intr, {}, 0.1)
         assert len(reports) == 1
         assert reports[0].is_reference
@@ -234,14 +235,44 @@ class TestEstimateWindowDepth:
         mask = mask_with_sizes(intr, {1: 900, 2: 500})
         tracks = {2: DistanceTrack(2, 0.7, 0.02, 0.0)}
         result = fake_result({
-            1: (0.1, 0.0, (5.0, 5.0), False, 3),
-            2: (0.1, 0.0, (17.0, 5.0), False, 4),
+            1: (0.1, (5.0, 5.0), False, 3),
+            2: (0.1, (17.0, 5.0), False, 4),
         })
         reports = estimate_window_depth(result, mask, intr, tracks, 0.1)
         by_id = {r.region_id: r for r in reports}
         assert not by_id[2].converged
         assert tracks[2].d == 0.7
         assert tracks[2].var == pytest.approx(0.03)  # one predict step
+
+    def test_rows_carry_window_and_alignment(self, intr):
+        mask = mask_with_sizes(intr, {1: 900, 2: 500, 3: 300})
+        result = fake_result({
+            1: (0.3, (20.0, 20.0), True, 300),
+            2: (0.5, (40.0, 30.0), True, 200),
+            3: (0.0, None, False, 0),
+        }, phi=1.0)
+        rows = estimate_window_depth(result, mask, intr, {}, 0.1, t=0.35)
+        assert [r.region_id for r in rows] == [1, 2, 3]
+        for r in rows:
+            assert (r.t_start, r.phi) == (0.35, 1.0)
+            assert r.m == result.per_region[r.region_id].m
+        assert rows[0] == DepthRow(0.35, 1, 1.0, 0.3, 1.0, 1.0, 1e-4,
+                                   True, True)
+        assert rows[1].converged and not rows[1].is_reference
+        assert not rows[2].converged and math.isnan(rows[2].d_track)
+
+    def test_coasting_rows_predict_every_track(self):
+        tracks = {2: DistanceTrack(2, 0.7, 0.02, 0.0),
+                  1: DistanceTrack(1, 1.0, 1e-4, 0.0)}
+        rows = coast_tracks(tracks, 0.1, t=0.4)
+        assert [r.region_id for r in rows] == [1, 2]
+        assert tracks[2].var == pytest.approx(0.03)
+        for r in rows:
+            assert r.t_start == 0.4 and not r.converged
+            assert math.isnan(r.phi) and math.isnan(r.m)
+            assert math.isnan(r.d_meas)
+            assert (r.d_track, r.var) == (tracks[r.region_id].d,
+                                          tracks[r.region_id].var)
 
     def test_two_plane_track_converges(self, intr, two_plane_run):
         """Depth ratio 2 with the far plane as reference: the near plane's

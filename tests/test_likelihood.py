@@ -14,19 +14,15 @@ from evalign import (
     EventWindow,
     MagnitudeGrid,
     NBParams,
+    WindowObjective,
     analytic_compensation,
-    marginal_log_likelihood,
+    marginal_from_objective,
     nb_log_pmf,
-    window_log_likelihood,
 )
 from evalign import likelihood
+from evalign.core import _splat
 from evalign.errors import ValidationError
-from evalign.likelihood import (
-    NBSpec,
-    WindowObjective,
-    marginal_from_objective,
-    marginals_from_objective,
-)
+from evalign.likelihood import _nb_log_density, marginals_from_objective
 from evalign.warp import warp_positions
 
 N_CPU = len(os.sched_getaffinity(0))
@@ -87,6 +83,11 @@ class TestNbLogPmf:
         with pytest.raises(ValidationError):
             NBParams(1.0, 1.0)
 
+    def test_unresolved_q_rejected(self):
+        # q=None means "moment-match per window"; there is no pmf yet
+        with pytest.raises(ValidationError, match="not resolved"):
+            nb_log_pmf(0, NBParams(1.0))
+
     def test_moment_match_mean(self):
         p = NBParams.moment_match(0.37, r=0.25)
         assert p.r * (1 - p.q) / p.q == pytest.approx(0.37, rel=1e-9)
@@ -104,16 +105,15 @@ class TestWindowLogLikelihood:
         region = np.zeros((intr.height, intr.width), dtype=bool)
         region[10:20, 10:30] = True
         params = NBParams(0.5, 0.8)
-        ll = window_log_likelihood(w, AngularVelocity2(0.0, 0.0), region,
-                                   params, intr)
+        ll = WindowObjective(w, intr, region, params).log_likelihood(
+            AngularVelocity2(0.0, 0.0))
         assert ll == pytest.approx(region.sum() * nb_log_pmf(0, params))
 
     def test_empty_region_rejected(self, intr):
         w = EventWindow(Events.empty(), 0.0, 0.05, 0.0)
         region = np.zeros((intr.height, intr.width), dtype=bool)
         with pytest.raises(ValidationError):
-            window_log_likelihood(w, AngularVelocity2(0.0, 0.0), region,
-                                  NBParams(0.5, 0.8), intr)
+            WindowObjective(w, intr, region, NBParams(0.5, 0.8))
 
     def test_permutation_invariance(self, intr):
         rng = np.random.default_rng(15)
@@ -131,8 +131,9 @@ class TestWindowLogLikelihood:
         object.__setattr__(w2, "t_ref", w.t_ref)
         object.__setattr__(w2, "derotated", False)
         om = AngularVelocity2(0.4, 1.0)
-        a = window_log_likelihood(w, om, None, NBParams(0.5, 0.9), intr)
-        b = window_log_likelihood(w2, om, None, NBParams(0.5, 0.9), intr)
+        params = NBParams(0.5, 0.9)
+        a = WindowObjective(w, intr, None, params).log_likelihood(om)
+        b = WindowObjective(w2, intr, None, params).log_likelihood(om)
         assert a == pytest.approx(b, abs=1e-9)
 
     def test_compensating_omega_beats_zero(self, intr, two_plane_run):
@@ -140,19 +141,23 @@ class TestWindowLogLikelihood:
         w = res.event_windows()[0]
         mask = res.windows[0].mask
         comp = analytic_compensation(scene, motion, 1, intr)
-        region = mask.bool_mask(1)
-        ll_comp = window_log_likelihood(w, comp, region, None, intr)
-        ll_zero = window_log_likelihood(w, AngularVelocity2(0.0, comp.phi),
-                                        region, None, intr)
+        obj = WindowObjective(w, intr, mask.bool_mask(1), None)
+        ll_comp = obj.log_likelihood(comp)
+        ll_zero = obj.log_likelihood(AngularVelocity2(0.0, comp.phi))
         assert ll_comp > ll_zero
 
     def test_moment_matched_params_fixed_across_omega(self, intr,
                                                       two_plane_run):
         _, _, res, _ = two_plane_run
         w = res.event_windows()[0]
-        a = WindowObjective(w, intr, None, NBSpec(0.25))
-        b = WindowObjective(w, intr, None, NBSpec(0.25))
+        a = WindowObjective(w, intr, None, NBParams(0.25))
+        b = WindowObjective(w, intr, None, NBParams(0.25))
         assert a.params == b.params
+        assert a.params == NBParams.moment_match(
+            len(w) / (intr.width * intr.height), r=0.25)
+        # None is the default request, NBParams()
+        assert WindowObjective(w, intr).params == \
+            WindowObjective(w, intr, None, NBParams()).params
 
     def test_smoothness_along_ray(self, intr, two_plane_run):
         """Second differences along a fine omega ray stay bounded: no
@@ -169,6 +174,44 @@ class TestWindowLogLikelihood:
         assert jumps.max() <= 10.0 * max(med, 1e-9)
 
 
+def dense_ray(obj, phi, m_values, pad=200):
+    """log_likelihood_ray recomputed over every pixel of one fixed canvas
+    that extends pad pixels past the sensor on each side."""
+    w_c, h_c = obj.width + 2 * pad, obj.height + 2 * pad
+    out = []
+    for m in m_values:
+        pos = obj.positions_for(AngularVelocity2(m, phi)) + pad
+        assert pos.min() >= 0 and pos[:, 0].max() < w_c - 1 \
+            and pos[:, 1].max() < h_c - 1
+        counts = _splat(pos[None], w_c, h_c)[0]
+        dense = float(_nb_log_density(counts, obj.params).sum())
+        # the objective's base term counts n_region_px empty pixels, not
+        # every pixel of the padded canvas
+        out.append(dense - (w_c * h_c - obj.n_region_px) * obj._log_pmf0)
+    return np.array(out)
+
+
+class TestRayAgainstDenseReference:
+    def test_chunked_ray_matches_full_canvas(self, intr, two_plane_run):
+        _, _, res, _ = two_plane_run
+        w = res.event_windows()[0]
+        region = res.windows[0].mask.bool_mask(1)
+        obj = WindowObjective(w, intr, region, None)
+        # 20 rows (three 8-row chunks) with warped extents from none to
+        # ~90 px, out of order so chunks mix small and large extents; the
+        # large ones push events off the sensor
+        m_values = np.array([0.0, 9.0, 0.05, 4.0, 0.3, 1.2, 7.5, 0.01, 2.0,
+                             6.0, 0.6, 3.3, 8.8, 0.2, 5.1, 0.9, 2.7, 0.0,
+                             7.0, 1.6])
+        phi = 0.7
+        far = obj.positions_for(AngularVelocity2(9.0, phi))
+        assert np.any((far[:, 0] < 0) | (far[:, 0] > intr.width - 1)
+                      | (far[:, 1] < 0) | (far[:, 1] > intr.height - 1))
+        ray = obj.log_likelihood_ray(phi, m_values)
+        np.testing.assert_allclose(ray, dense_ray(obj, phi, m_values),
+                                   rtol=1e-10, atol=0)
+
+
 class TestMarginal:
     def test_constant_integrand(self, intr):
         # zero events: the inner likelihood is a constant L, so the
@@ -176,7 +219,8 @@ class TestMarginal:
         w = EventWindow(Events.empty(), 0.0, 0.05, 0.0)
         params = NBParams(0.5, 0.8)
         grid = MagnitudeGrid(m_max=2.0, n=2)
-        ll = marginal_log_likelihood(w, 0.3, grid, None, params, intr)
+        ll = marginal_from_objective(WindowObjective(w, intr, None, params),
+                                     0.3, grid)
         const = intr.width * intr.height * nb_log_pmf(0, params)
         assert ll == pytest.approx(const + math.log(2.0), abs=1e-9)
 
@@ -220,9 +264,10 @@ class TestMarginal:
         grid = MagnitudeGrid(m_max=1.0, n=25)
         params = NBParams(0.25, 0.9)
         for phi in (0.2, 1.1, 4.0):
-            a = marginal_log_likelihood(w, phi, grid, None, params, intr)
-            b = marginal_log_likelihood(wr, phi + math.pi, grid, None,
-                                        params, intr)
+            a = marginal_from_objective(
+                WindowObjective(w, intr, None, params), phi, grid)
+            b = marginal_from_objective(
+                WindowObjective(wr, intr, None, params), phi + math.pi, grid)
             assert a == pytest.approx(b, abs=1e-6)
 
 

@@ -32,6 +32,18 @@ def plain_scene(density=8.0, depth=1.0):
     return SceneSpec(planes=(plane,))
 
 
+class TestMotionSpec:
+    @pytest.mark.parametrize("kwargs", [
+        {"omega_profile": [[0.0, np.nan, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]]},
+        {"omega_profile": [[0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, np.inf]]},
+        {"omega": [np.inf, 0.0, 0.0]},
+        {"omega": [0.0, np.nan, 0.0]},
+    ])
+    def test_non_finite_angular_velocity_rejected(self, kwargs):
+        with pytest.raises(ValidationError, match="finite"):
+            MotionSpec(**kwargs)
+
+
 class TestGenerate:
     def test_zero_motion_zero_noise_is_silent(self, small_intr):
         res = generate(plain_scene(), MotionSpec(v=[0, 0, 0], duration=0.5),

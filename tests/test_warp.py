@@ -16,7 +16,7 @@ from evalign import (
     rot_flow,
     warp_window,
 )
-from evalign.errors import ImuGapError
+from evalign.errors import ImuGapError, ValidationError
 from evalign.warp import ImuTrace, warp_positions
 
 INTR = CameraIntrinsics(fx=300.0, fy=300.0, cx=120.0, cy=120.0,
@@ -163,6 +163,14 @@ class TestDerotate:
         expected = warp_window(w, om, INTR)
         np.testing.assert_allclose(out.events.positions(), expected,
                                    atol=1e-9)
+
+    @pytest.mark.parametrize("t, omega", [
+        ([0.0, np.nan], np.zeros((2, 3))),
+        ([0.0, 0.1], [[0.0, 0.0, 0.0], [0.0, np.inf, 0.0]]),
+    ])
+    def test_non_finite_trace_rejected(self, t, omega):
+        with pytest.raises(ValidationError, match="finite"):
+            ImuTrace(np.array(t), np.array(omega))
 
     def test_gap_larger_than_window_rejected(self):
         rng = np.random.default_rng(12)
