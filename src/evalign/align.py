@@ -26,7 +26,6 @@ from .likelihood import (
     MagnitudeGrid,
     NBParams,
     WindowObjective,
-    marginal_from_objective,
     marginals_from_objective,
 )
 from .warp import (
@@ -94,10 +93,11 @@ def estimate_direction(w: EventWindow, grid: MagnitudeGrid,
     Coarse scan over evenly spaced directions in [0, 2pi), then
     golden-section refinement inside the bracketing interval (tolerance
     0.2 degrees, at most MAX_REFINE_EVALS objective evaluations). Coarse
-    ties break toward the smaller angle. The coarse directions are
-    independent, so marginals_from_objective splits them across the usable
-    CPUs (a process pool) with results bit-for-bit those of a serial scan;
-    the refinement is sequential and runs in this process.
+    ties break toward the smaller angle. The coarse scan and each
+    refinement probe go through marginals_from_objective, which shares
+    their magnitude rows out among the usable CPUs (a process pool) with
+    results bit-for-bit those of a serial loop; the probes themselves
+    follow one another.
     """
     if len(w) < min_events:
         raise InsufficientEventsError(
@@ -109,7 +109,7 @@ def estimate_direction(w: EventWindow, grid: MagnitudeGrid,
     step = 2.0 * math.pi / phi_samples
     lo, hi = phis[best] - step, phis[best] + step
     phi_hat, _, _ = _golden_max(
-        lambda p: marginal_from_objective(obj, p, grid),
+        lambda p: float(marginals_from_objective(obj, np.array([p]), grid)[0]),
         lo, hi, tol=PHI_TOL, max_evals=MAX_REFINE_EVALS)
     return float(phi_hat) % (2.0 * math.pi)
 

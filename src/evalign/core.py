@@ -263,7 +263,8 @@ def accumulate(positions: np.ndarray, width: int, height: int) -> CountImage:
     return CountImage(counts, dropped=float(max(dropped, 0.0)))
 
 
-def _splat(positions: np.ndarray, width: int, height: int) -> np.ndarray:
+def _splat(positions: np.ndarray, width: int, height: int,
+           on_canvas: bool = False) -> np.ndarray:
     """Bilinear splat of a (B, N, 2) position batch into (B, height, width).
 
     One weighted bincount over flattened (batch, y, x) indices, laid out
@@ -271,8 +272,10 @@ def _splat(positions: np.ndarray, width: int, height: int) -> np.ndarray:
     bottom-right), so every pixel sums its fragments in a fixed order.
     The in-bounds mask runs only when some floored position puts a
     fragment off the canvas (x0 < 0, x0 >= width - 1, or likewise in y);
-    those fragments are dropped. Otherwise, as on the likelihood scorer's
-    tight canvas, no mask is built. In-bounds mass is conserved exactly.
+    those fragments are dropped. In-bounds mass is conserved exactly.
+    on_canvas=True skips that check: the caller guarantees every fragment
+    lands on the canvas, as the likelihood scorer's canvas, sized from the
+    batch's own extent, does.
     """
     b, n, _ = positions.shape
     x = positions[..., 0]
@@ -297,7 +300,7 @@ def _splat(positions: np.ndarray, width: int, height: int) -> np.ndarray:
     wts[3] = fx * fy
     idx = idx.ravel()
     wts = wts.ravel()
-    if n and (x0.min() < 0 or x0.max() >= width - 1
+    if n and not on_canvas and (x0.min() < 0 or x0.max() >= width - 1
               or y0.min() < 0 or y0.max() >= height - 1):
         x_in = ((x0 >= 0) & (x0 < width), (x0 >= -1) & (x0 < width - 1))
         y_in = ((y0 >= 0) & (y0 < height), (y0 >= -1) & (y0 < height - 1))

@@ -31,6 +31,14 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _parse(kind, text: str, line: int):
+    """kind(text), with a malformed number reported at its line."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ParseError(f"malformed number {text!r}", line=line) from None
+
+
 # ---------------------------------------------------------------- events
 
 def write_events(path, events: Events, width: int, height: int) -> None:
@@ -121,7 +129,7 @@ def read_masks(path) -> tuple[list[tuple[float, RegionMask]], int, int]:
             parts = fh.readline().split()
             if len(parts) != 2 or parts[0] != "win":
                 raise ParseError("expected 'win <t_start>'", line=ln)
-            t_start = float(parts[1])
+            t_start = _parse(float, parts[1], ln)
             if not math.isfinite(t_start):
                 raise ParseError("window start must be finite", line=ln)
             rows = np.empty((height, width), dtype=np.int32)
@@ -130,7 +138,7 @@ def read_masks(path) -> tuple[list[tuple[float, RegionMask]], int, int]:
                 vals = fh.readline().split()
                 if len(vals) != width:
                     raise ParseError(f"expected {width} labels", line=ln)
-                rows[r] = [int(v) for v in vals]
+                rows[r] = [_parse(int, v, ln) for v in vals]
             if rows.min() < 0:
                 raise ParseError("labels must be non-negative", line=ln)
             masks.append((t_start, RegionMask(rows)))
@@ -190,7 +198,7 @@ def read_gt_depth(path) -> list[tuple[float, dict[int, float]]]:
         header = fh.readline().split()
         if len(header) != 2 or header[0] != "gtd1":
             raise ParseError("expected header 'gtd1 <n_windows>'", line=1)
-        n_win = int(header[1])
+        n_win = _parse(int, header[1], 1)
         out = []
         current = None
         for ln, raw in enumerate(fh, start=2):
@@ -200,7 +208,7 @@ def read_gt_depth(path) -> list[tuple[float, dict[int, float]]]:
             if parts[0] == "win":
                 if len(parts) != 2:
                     raise ParseError("expected 'win <t_start>'", line=ln)
-                t_start = float(parts[1])
+                t_start = _parse(float, parts[1], ln)
                 if not math.isfinite(t_start):
                     raise ParseError("window start must be finite", line=ln)
                 current = {}
@@ -210,7 +218,7 @@ def read_gt_depth(path) -> list[tuple[float, dict[int, float]]]:
                     raise ParseError("region line before any 'win'", line=ln)
                 if len(parts) != 2:
                     raise ParseError("expected 'region_id z'", line=ln)
-                rid, z = int(parts[0]), float(parts[1])
+                rid, z = _parse(int, parts[0], ln), _parse(float, parts[1], ln)
                 if not (math.isfinite(z) and z > 0):
                     raise ParseError("depth must be positive and finite",
                                      line=ln)

@@ -55,9 +55,14 @@ MMAX_FACTOR = 4.0
 MMAX_FLOOR = 0.5
 MMAX_CAP = 10.0
 
-# Workers that score all but the first part of a coarse direction scan
-# (see marginals_from_objective); created on first use, kept for the life
-# of the process.
+# Rows of a batch that _score_positions splats onto one canvas. A ray cut
+# at a multiple of it scores every row bit for bit as the whole ray does,
+# so cut_plan splits direction scans on these boundaries.
+SCORE_CHUNK = 8
+
+# Workers that score all but the first part of a direction scan (see
+# marginals_from_objective); created on first use, kept for the life of
+# the process.
 _scan_pool: ProcessPoolExecutor | None = None
 
 
@@ -226,7 +231,7 @@ class WindowObjective:
         """Likelihood of a (B, N, 2) warped-position batch.
 
         Splats onto a canvas that covers the batch with a one-pixel margin,
-        so no mass is dropped and _splat never needs its in-bounds mask;
+        so no mass is dropped and _splat can skip its bounds check;
         untouched pixels contribute zero on top of the base term.
         Batches are scored in chunks so rows with small warped extents do
         not pay for the canvas of the largest one.
@@ -235,20 +240,20 @@ class WindowObjective:
         if pos.shape[1] == 0:
             return np.full(b, self._base_term)
         scores = np.full(b, self._base_term)
-        chunk = 8
-        for lo in range(0, b, chunk):
-            part = pos[lo:lo + chunk]
+        for lo in range(0, b, SCORE_CHUNK):
+            part = pos[lo:lo + SCORE_CHUNK]
             nb = part.shape[0]
             x_lo = math.floor(float(part[..., 0].min())) - 1
             y_lo = math.floor(float(part[..., 1].min())) - 1
             w_c = math.floor(float(part[..., 0].max())) + 3 - x_lo
             h_c = math.floor(float(part[..., 1].max())) + 3 - y_lo
             shifted = part - np.array([x_lo, y_lo], dtype=np.float64)
-            flat = _splat(shifted, w_c, h_c).reshape(nb * h_c * w_c)
-            nz = np.flatnonzero(flat)
+            flat = _splat(shifted, w_c, h_c,
+                          on_canvas=True).reshape(nb * h_c * w_c)
+            nz = np.flatnonzero(flat != 0)  # numpy scans bools fastest
             if nz.size:
                 diff = _nb_log_density(flat[nz], self.params) - self._log_pmf0
-                scores[lo:lo + chunk] += np.bincount(
+                scores[lo:lo + SCORE_CHUNK] += np.bincount(
                     nz // (h_c * w_c), weights=diff, minlength=nb)
         return scores
 
@@ -270,51 +275,97 @@ class WindowObjective:
 
 def marginal_from_objective(obj: WindowObjective, phi: float,
                             grid: MagnitudeGrid) -> float:
-    """log integral over magnitude of the window likelihood along phi.
+    """log integral over magnitude of the window likelihood along phi."""
+    return _log_trapezoid(obj.log_likelihood_ray(phi, grid.values), grid)
 
-    Trapezoid quadrature over the grid combined in log space; the constant
-    uniform-prior density 1/m_max is dropped.
+
+def _log_trapezoid(inner: np.ndarray, grid: MagnitudeGrid) -> float:
+    """log of the trapezoid integral of exp(inner) over the grid.
+
+    Combined in log space; the constant uniform-prior density 1/m_max is
+    dropped.
     """
-    inner = obj.log_likelihood_ray(phi, grid.values)
     h = grid.m_max / (grid.n - 1)
     log_w = np.full(grid.n, math.log(h))
     log_w[0] = log_w[-1] = math.log(h / 2.0)
     return float(logsumexp(inner + log_w))
 
 
+def cut_plan(n_rays: int, n: int,
+             n_parts: int) -> list[list[tuple[int, int, int]]]:
+    """Cut n_rays rays of n rows into n_parts contiguous parts, in order,
+    whose row counts differ by at most SCORE_CHUNK.
+
+    Cuts fall on ray boundaries or on multiples of SCORE_CHUNK within a ray,
+    where the scorer's own chunks start, so a cut ray scores every row as
+    the whole ray does. A part is a list of (ray index, lo, hi) row slices;
+    it is empty when there are fewer chunks than parts.
+    """
+    total = n_rays * n
+    stops = sorted({i * n + j for i in range(n_rays)
+                    for j in range(0, n, SCORE_CHUNK)} | {total})
+    for low in range(total // n_parts, -1, -1):
+        # reach[k]: the stops where part k can end while every part so far
+        # holds low to low + SCORE_CHUNK rows. Stops are at most SCORE_CHUNK
+        # apart, so each reach set is the stops inside one interval.
+        reach = [[0]]
+        while len(reach) <= n_parts and reach[-1]:
+            a, b = reach[-1][0] + low, reach[-1][-1] + low + SCORE_CHUNK
+            reach.append([s for s in stops if a <= s <= b])
+        if len(reach) > n_parts and reach[-1] and reach[-1][-1] == total:
+            break
+    cuts = [total]
+    for k in range(n_parts - 1, 0, -1):
+        cuts.append(min((s for s in reach[k]
+                         if low <= cuts[-1] - s <= low + SCORE_CHUNK),
+                        key=lambda s: abs(s - k * total / n_parts)))
+    cuts.append(0)
+    cuts.reverse()
+    return [[(i, max(a - i * n, 0), min(b - i * n, n))
+             for i in range(n_rays) if max(a, i * n) < min(b, (i + 1) * n)]
+            for a, b in zip(cuts, cuts[1:])]
+
+
 def marginals_from_objective(obj: WindowObjective, phis: np.ndarray,
                              grid: MagnitudeGrid) -> np.ndarray:
     """marginal_from_objective at each direction in phis, in order.
 
-    The directions are split into one contiguous part per usable CPU. This
-    process scores the first part while a fork-started process pool scores
-    the others, and the parts are joined in order. Each value comes from
-    the same code on the same inputs as in a plain loop, so the result is
-    bit-for-bit the loop's; a worker's exception is re-raised here. The
-    plain loop runs when there is one usable CPU, fewer directions than
-    CPUs, or no safe way to fork (see _scan_workers).
+    The rays' magnitude rows are cut into one contiguous part per usable
+    CPU (cut_plan), so even a single direction is shared. This process
+    scores the first part while a fork-started process pool scores the
+    others; the rows are joined in order and each direction's marginal is
+    taken as in marginal_from_objective. Every row is computed by the same
+    code on the same inputs, with the same scorer chunks, as in a plain
+    loop, so the result is bit-for-bit the loop's; a worker's exception is
+    re-raised here. The plain loop runs when there is one usable CPU, too
+    few chunks to split, or no safe way to fork (see _scan_workers).
     """
     n_cpu = (len(os.sched_getaffinity(0))
              if hasattr(os, "sched_getaffinity") else 1)
-    pool = _scan_workers(n_cpu) if 1 < n_cpu <= len(phis) else None
+    parts = [[(phis[i], lo, hi) for i, lo, hi in part]
+             for part in cut_plan(len(phis), grid.n, n_cpu) if part]
+    pool = _scan_workers(n_cpu) if len(parts) > 1 else None
     if pool is None:
-        return np.array(_marginals(obj, phis, grid))
-    parts = np.array_split(phis, n_cpu)
-    futures = [pool.submit(_marginals, obj, part, grid) for part in parts[1:]]
-    values = _marginals(obj, parts[0], grid)
+        return np.array([marginal_from_objective(obj, p, grid) for p in phis])
+    futures = [pool.submit(_score_slices, obj, grid.values, part)
+               for part in parts[1:]]
+    rows = _score_slices(obj, grid.values, parts[0])
     for fut in futures:
-        values.extend(fut.result())
-    return np.array(values)
+        rows.extend(fut.result())
+    inner = np.concatenate(rows).reshape(len(phis), grid.n)
+    return np.array([_log_trapezoid(ray, grid) for ray in inner])
 
 
-def _marginals(obj: WindowObjective, phis: np.ndarray,
-               grid: MagnitudeGrid) -> list[float]:
-    return [marginal_from_objective(obj, p, grid) for p in phis]
+def _score_slices(obj: WindowObjective, m_values: np.ndarray,
+                  slices: list[tuple[float, int, int]]) -> list[np.ndarray]:
+    return [obj.log_likelihood_ray(phi, m_values[lo:hi])
+            for phi, lo, hi in slices]
 
 
 def _scan_workers(n_cpu: int) -> ProcessPoolExecutor | None:
-    """The process pool of the coarse scan, created with n_cpu - 1 workers
-    on first use; None when it does not exist and cannot be forked safely.
+    """The process pool of the direction scans, created with n_cpu - 1
+    workers on first use; None when it does not exist and cannot be forked
+    safely.
 
     Forking copies only the calling thread, so a lock held by any other
     thread stays locked in the child: the pool is only created while this

@@ -69,8 +69,9 @@ def rotation_run(intr):
 
 @pytest.fixture
 def serial_scan(monkeypatch):
-    """Calling the returned function swaps the pooled coarse direction scan
-    for the plain loop that it must reproduce bit for bit."""
+    """Calling the returned function swaps the pooled direction scan (the
+    coarse scan and every refinement probe) for the plain loop that it must
+    reproduce bit for bit."""
     def loop(obj, phis, grid):
         return np.array([marginal_from_objective(obj, p, grid) for p in phis])
 

@@ -76,8 +76,8 @@ class TestEstimateDirection:
     @pytest.mark.parametrize("phi_samples", [36, 2, 1])
     def test_pooled_scan_matches_serial(self, intr, two_plane_run,
                                         serial_scan, phi_samples):
-        # 36 splits across the CPUs; 1 (and 2, with more than 2 CPUs) is
-        # fewer directions than CPUs and runs in this process
+        # on 2 CPUs the coarse scans of 36 and 2 split at a direction
+        # boundary, that of 1 inside its ray, like every refinement probe
         _, _, res, _ = two_plane_run
         w = res.event_windows()[3]
         grid = MagnitudeGrid.for_window(w, intr)

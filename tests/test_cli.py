@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import evalign
+from evalign import likelihood
 from evalign.cli import _build_config, build_parser, main
 from evalign.pipeline import RunConfig
 from evalign.dataio import read_events, read_gt_depth, read_imu, read_masks
@@ -190,6 +191,25 @@ class TestDepthCommand:
         assert err.startswith(f"error: line {bad_line}: ")
         assert "finite" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("flag, text, line", [
+        ("--gt", "gtd1 1\nwin 0.0\n1 abc\n", 3),
+        ("--gt", "gtd1 x\nwin 0.0\n1 1.0\n", 1),
+        ("--mask", "msk1 2 1 1\nwin zz\n1 1\n", 2),
+    ])
+    def test_malformed_side_file_exit_2(self, dataset, tmp_path, capsys,
+                                        flag, text, line):
+        side = tmp_path / "bad.txt"
+        side.write_text(text)
+        files = {"--mask": str(dataset / "masks.msk"), flag: str(side)}
+        code = main(["depth", "--events", str(dataset / "events.evt"),
+                     *(a for item in files.items() for a in item),
+                     "--out", str(tmp_path / "out"),
+                     "--intrinsics", "170,170,79.5,59.5", *FAST])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: line {line}: malformed number")
+        assert "Traceback" not in err
+
 
 @pytest.mark.parametrize("command, required", [
     ("depth", ["--events", "e", "--mask", "m", "--out", "o"]),
@@ -293,3 +313,42 @@ def test_pool_starts_with_first_direction_search(dataset, tmp_path):
                           env=env, capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_pooled_and_serial_runs_write_identical_csvs(dataset, tmp_path,
+                                                     monkeypatch):
+    """`evalign depth` and `evalign angvel` write the same bytes whether
+    the direction scans are shared out to the process pool or not."""
+    rot = tmp_path / "rotation"
+    scene = write_scene(tmp_path / "rotation.json", planes=[
+        {"polygon": [[20, 16], [150, 16], [150, 104], [20, 104]],
+         "depth": 1.5, "edge_density": 14.0}])
+    motion = write_motion(tmp_path / "rotation_motion.json",
+                          {"omega": [0.0, 0.35, 0.0], "duration": 0.05})
+    assert main(["synth", "--scene", str(scene), "--motion", str(motion),
+                 "--out", str(rot), "--seed", "6"]) == 0
+    calls = {
+        "depth": ["depth", "--events", str(dataset / "events.evt"),
+                  "--mask", str(dataset / "masks.msk"),
+                  "--gt", str(dataset / "gt_depth.gtd"), *FAST],
+        # one window; a 12-row grid still cuts every probe inside its ray
+        "angvel": ["angvel", "--events", str(rot / "events.evt"),
+                   "--imu-gt", str(rot / "imu.imu"), "--phi-samples", "8",
+                   "--grid-n", "12", "--min-events", "30"],
+    }
+
+    def run_all(tag):
+        csvs = {}
+        for name, argv in calls.items():
+            out = tmp_path / tag / name
+            assert main([*argv, "--out", str(out),
+                         "--intrinsics", "170,170,79.5,59.5"]) == 0
+            csvs.update((f"{name}/{p.name}", p.read_bytes())
+                        for p in out.glob("*.csv"))
+        return csvs
+
+    pooled = run_all("pooled")
+    assert sorted(pooled) == ["angvel/angvel.csv", "angvel/angvel_metrics.csv",
+                              "depth/depth.csv", "depth/depth_metrics.csv"]
+    monkeypatch.setattr(likelihood, "_scan_workers", lambda n_cpu: None)
+    assert run_all("serial") == pooled

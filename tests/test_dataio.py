@@ -103,6 +103,16 @@ class TestMaskFile:
         with pytest.raises(ParseError, match="line 4: .*finite"):
             read_masks(p)
 
+    @pytest.mark.parametrize("text, line", [
+        ("msk1 2 1 1\nwin zz\n1 1\n", 2),
+        ("msk1 2 1 2\nwin 0.0\n1 1\nwin 0.05\n1 q\n", 5),
+    ])
+    def test_malformed_number_reports_line(self, tmp_path, text, line):
+        p = tmp_path / "bad.msk"
+        p.write_text(text)
+        with pytest.raises(ParseError, match=f"line {line}: malformed"):
+            read_masks(p)
+
 
 class TestImuFile:
     def test_round_trip_byte_identical(self, tmp_path):
@@ -155,6 +165,18 @@ class TestGtDepthFile:
         p = tmp_path / "bad.gtd"
         p.write_text("gtd1 2\n" + body)
         with pytest.raises(ParseError, match="line 4: .*finite"):
+            read_gt_depth(p)
+
+    @pytest.mark.parametrize("text, line", [
+        ("gtd1 x\nwin 0.0\n1 1.0\n", 1),
+        ("gtd1 1\nwin 0.0\n1 abc\n", 3),
+        ("gtd1 1\nwin 0.0\nr 1.0\n", 3),
+        ("gtd1 1\nwin t0\n1 1.0\n", 2),
+    ])
+    def test_malformed_number_reports_line(self, tmp_path, text, line):
+        p = tmp_path / "bad.gtd"
+        p.write_text(text)
+        with pytest.raises(ParseError, match=f"line {line}: malformed"):
             read_gt_depth(p)
 
 

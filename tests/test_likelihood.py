@@ -6,6 +6,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.stats import nbinom
 
 from evalign import (
@@ -22,7 +23,12 @@ from evalign import (
 from evalign import likelihood
 from evalign.core import _splat
 from evalign.errors import ValidationError
-from evalign.likelihood import _nb_log_density, marginals_from_objective
+from evalign.likelihood import (
+    SCORE_CHUNK,
+    _nb_log_density,
+    cut_plan,
+    marginals_from_objective,
+)
 from evalign.warp import warp_positions
 
 N_CPU = len(os.sched_getaffinity(0))
@@ -272,11 +278,46 @@ class TestMarginal:
 
 
 class TestMarginalsFromObjective:
-    """The pooled coarse scan against the plain loop, compared exactly."""
+    """The pooled direction scan against the plain loop, compared exactly."""
 
     @staticmethod
     def loop(obj, phis, grid):
         return np.array([marginal_from_objective(obj, p, grid) for p in phis])
+
+    @pytest.fixture(scope="class")
+    def edge_window(self, intr):
+        """Events over the whole sensor, edges included. A row's score
+        depends on its canvas origin only where shifting a position onto
+        the canvas rounds it, which happens near or past the top and left
+        edges (coordinate 0), so these rays score differently when cut off
+        the scorer's chunks."""
+        rng = np.random.default_rng(31)
+        n = 1500
+        ev = Events(rng.uniform(0, intr.width - 1, n),
+                    rng.uniform(0, intr.height - 1, n),
+                    np.sort(rng.uniform(0, 0.05, n)),
+                    np.ones(n, dtype=np.int8))
+        return EventWindow(ev, 0.0, 0.05, 0.0)
+
+    @pytest.mark.parametrize("n", [2, 7, 8, 9, 50])
+    def test_one_direction(self, intr, edge_window, n):
+        # a golden-section probe: one ray, cut inside itself when it has
+        # more than one scorer chunk
+        grid = MagnitudeGrid(m_max=4.0, n=n)
+        obj = WindowObjective(edge_window, intr)
+        for phi in (0.4, 2.0, 3.5, 5.2):
+            phis = np.array([phi])
+            assert np.array_equal(marginals_from_objective(obj, phis, grid),
+                                  self.loop(obj, phis, grid))
+
+    def test_cut_inside_a_ray(self, intr, edge_window):
+        grid = MagnitudeGrid(m_max=4.0, n=20)
+        obj = WindowObjective(edge_window, intr)
+        phis = np.array([0.9, 2.5, 4.1])
+        if N_CPU == 2:  # 60 rows cut at 28: the middle ray's row 8
+            assert cut_plan(3, 20, 2)[1][0] == (1, 8, 20)
+        assert np.array_equal(marginals_from_objective(obj, phis, grid),
+                              self.loop(obj, phis, grid))
 
     def test_two_plane_window(self, intr, two_plane_run):
         _, _, res, _ = two_plane_run
@@ -330,3 +371,22 @@ class TestMarginalsFromObjective:
         ok = phis[:-1]
         assert np.array_equal(marginals_from_objective(obj, ok, grid),
                               self.loop(obj, ok, grid))
+
+
+@given(n_rays=st.integers(0, 40), n=st.integers(1, 120),
+       n_parts=st.integers(1, 16))
+def test_cut_plan_partitions_the_grid(n_rays, n, n_parts):
+    """Every (ray, row) once and in order, cuts only on ray boundaries or
+    scorer-chunk multiples, and part sizes within one chunk of each other."""
+    plan = cut_plan(n_rays, n, n_parts)
+    assert len(plan) == n_parts
+    cells = [(i, r) for part in plan for i, lo, hi in part
+             for r in range(lo, hi)]
+    assert cells == [(i, r) for i in range(n_rays) for r in range(n)]
+    for part in plan:
+        for _, lo, hi in part:
+            assert lo < hi
+            assert lo % SCORE_CHUNK == 0
+            assert hi == n or hi % SCORE_CHUNK == 0
+    sizes = [sum(hi - lo for _, lo, hi in part) for part in plan]
+    assert max(sizes) - min(sizes) <= SCORE_CHUNK
