@@ -18,18 +18,15 @@ from .align import (
 )
 from .core import (
     CameraIntrinsics,
-    CountImage,
     Events,
     EventWindow,
     RegionMask,
-    accumulate,
     slice_windows,
     slice_windows_count,
 )
 from .depth import (
     DepthRow,
     DistanceTrack,
-    RegionFlow,
     estimate_window_depth,
     region_flows,
     relative_distance,
@@ -59,7 +56,6 @@ from .warp import (
     ImuTrace,
     derotate,
     rot_flow,
-    warp_window,
 )
 
 __version__ = "0.1.0"

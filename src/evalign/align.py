@@ -142,8 +142,7 @@ def estimate_magnitude(w: EventWindow, phi: float, region: np.ndarray | None,
     return float(m_hat), float(ll)
 
 
-def align_window(w: EventWindow, mask: RegionMask,
-                 imu: ImuTrace | None, grid: MagnitudeGrid | None,
+def align_window(w: EventWindow, mask: RegionMask, imu: ImuTrace | None,
                  params: NBParams | None, intr: CameraIntrinsics,
                  phi_samples: int = DEFAULT_PHI_SAMPLES,
                  min_events: int = DEFAULT_MIN_EVENTS,
@@ -152,17 +151,18 @@ def align_window(w: EventWindow, mask: RegionMask,
     """Object-wise alignment of one window.
 
     Derotates when an IMU trace is given, estimates the shared direction on
-    the full frame, then the magnitude per mask region. Regions that fail
-    (too few events) become unconverged entries; they never abort the
-    window. Every region present in the mask gets an entry. Regions are
-    solved one after another in this process; the parallel part is the
-    direction search's coarse scan (see estimate_direction).
+    the full frame, then the magnitude per mask region, both over grid_n
+    magnitudes up to m_max (None: the auto bound). Regions that fail (too
+    few events) become unconverged entries; they never abort the window.
+    Every region present in the mask gets an entry. Regions are solved one
+    after another in this process; the parallel part is the direction
+    search, its coarse scan and every refinement probe alike (see
+    estimate_direction).
     """
     if (mask.height, mask.width) != (intr.height, intr.width):
         raise ValueError("mask dimensions do not match sensor dimensions")
     w = derotate(w, imu, intr)
-    if grid is None:
-        grid = MagnitudeGrid.for_window(w, intr, n=grid_n, m_max=m_max)
+    grid = MagnitudeGrid.for_window(w, intr, n=grid_n, m_max=m_max)
     phi = estimate_direction(w, grid, params, intr,
                              phi_samples=phi_samples, min_events=min_events)
     ev = w.events
@@ -190,28 +190,23 @@ def align_window(w: EventWindow, mask: RegionMask,
 
 
 def align_window_3dof(w: EventWindow, intr: CameraIntrinsics,
-                      grid: MagnitudeGrid | None = None,
                       params: NBParams | None = None,
                       phi_samples: int = DEFAULT_PHI_SAMPLES,
                       min_events: int = DEFAULT_MIN_EVENTS,
                       grid_n: int = DEFAULT_GRID_N,
                       m_max: float | None = None,
-                      wz_samples: int = 11,
-                      wz_max: float | None = None) -> AngularVelocity3:
+                      wz_samples: int = 11) -> AngularVelocity3:
     """Full-frame 3-DOF rotation estimate for rotation-dominant data.
 
-    Extends the 2-DOF search with a nested wz scan: each wz candidate is
-    removed from the window by warping, the 2-DOF machinery scores the
-    remainder, and the best wz is refined by golden section. Uses the same
-    likelihood throughout.
+    Extends the 2-DOF search with a nested wz scan over [-m_max, m_max]:
+    each wz candidate is removed from the window by warping, the 2-DOF
+    machinery scores the remainder, and the best wz is refined by golden
+    section. Uses the same likelihood throughout.
     """
     if len(w) < min_events:
         raise InsufficientEventsError(
             f"insufficient events: {len(w)} < {min_events}")
-    if grid is None:
-        grid = MagnitudeGrid.for_window(w, intr, n=grid_n, m_max=m_max)
-    if wz_max is None:
-        wz_max = grid.m_max
+    grid = MagnitudeGrid.for_window(w, intr, n=grid_n, m_max=m_max)
 
     cache: dict[float, tuple[float, float, float]] = {}
 
@@ -229,14 +224,15 @@ def align_window_3dof(w: EventWindow, intr: CameraIntrinsics,
         cache[wz] = (ll, phi, m)
         return cache[wz]
 
-    wz_grid = np.linspace(-wz_max, wz_max, wz_samples)
+    wz_grid = np.linspace(-grid.m_max, grid.m_max, wz_samples)
     scores = np.array([solve_2dof(float(wz))[0] for wz in wz_grid])
     best = int(np.argmax(scores))
     lo = wz_grid[max(best - 1, 0)]
     hi = wz_grid[min(best + 1, wz_samples - 1)]
     wz_hat, ll_ref, _ = _golden_max(lambda z: solve_2dof(float(z))[0],
                                     float(lo), float(hi),
-                                    tol=2.0 * wz_max / 5000.0, max_evals=12)
+                                    tol=2.0 * grid.m_max / 5000.0,
+                                    max_evals=12)
     if scores[best] > ll_ref:
         wz_hat = float(wz_grid[best])
     _, phi, m = solve_2dof(float(wz_hat))

@@ -185,7 +185,7 @@ def cmd_synth(args) -> int:
 # ---------------------------------------------------------------- depth
 
 def _mask_provider_from_arg(mask_arg, width, height):
-    """Returns (provider, est_masks_list_or_None, is_honeycomb)."""
+    """Returns (provider, honeycomb_mask_or_None)."""
     if mask_arg.startswith("honeycomb:"):
         spec = mask_arg[len("honeycomb:"):]
         if not spec.startswith("r="):
@@ -196,7 +196,7 @@ def _mask_provider_from_arg(mask_arg, width, height):
         def provider(_k, _t):
             return mask
 
-        return provider, None, True
+        return provider, mask
     masks, mw, mh = read_masks(mask_arg)
     if (mw, mh) != (width, height):
         raise EvalignError("mask dimensions do not match event dimensions")
@@ -205,7 +205,7 @@ def _mask_provider_from_arg(mask_arg, width, height):
     def provider(_k, t_start):
         return masks[int(np.argmin(np.abs(times - t_start)))][1]
 
-    return provider, masks, False
+    return provider, None
 
 
 def cmd_depth(args) -> int:
@@ -214,11 +214,10 @@ def cmd_depth(args) -> int:
     intr = _intrinsics(args, width, height)
     if cfg.hot_threshold is not None:
         events = filter_hot_pixels(events, width, height, cfg.hot_threshold)
-    provider, file_masks, is_honey = _mask_provider_from_arg(
-        args.mask, width, height)
+    provider, honeycomb = _mask_provider_from_arg(args.mask, width, height)
     imu = read_imu(args.imu) if args.imu else None
 
-    result = run_depth(events, intr, cfg, provider, imu=imu)
+    rows = run_depth(events, intr, cfg, provider, imu=imu)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     header = _header_lines(args, cfg)
@@ -227,33 +226,30 @@ def cmd_depth(args) -> int:
         ["t_start", "region_id", "phi", "m", "d_meas", "d_track", "var",
          "converged"],
         [(r.t_start, r.region_id, r.phi, r.m, r.d_meas, r.d_track, r.var,
-          r.converged) for r in result.rows])
+          r.converged) for r in rows])
 
-    if result.n_converged_windows == 0:
+    if not any(r.converged for r in rows):
         print("no window converged", file=sys.stderr)
         return EXIT_NO_RESULT
 
     if args.gt:
         gt_depths = read_gt_depth(args.gt)
-        gt_masks = est_masks = None
-        if is_honey:
-            gt_mask_path = args.gt_mask
-            if gt_mask_path is None:
+        gt_masks = None
+        if honeycomb is not None:
+            if args.gt_mask is None:
                 raise EvalignError(
                     "--gt with a honeycomb mask needs --gt-mask for the "
                     "ground-truth regions")
-            gt_masks, _, _ = read_masks(gt_mask_path)
-            hc = provider(0, 0.0)
-            est_masks = [(t, hc) for t, _ in gt_masks]
+            gt_masks, _, _ = read_masks(args.gt_mask)
         per_window, aggregate = evaluate_depth_run(
-            result, gt_depths, gt_masks=gt_masks, est_masks=est_masks)
-        rows = [(t, *m.as_row(), m.n) for t, m in per_window]
-        rows.append(("aggregate", *aggregate.as_row(), aggregate.n))
+            rows, gt_depths, gt_masks=gt_masks, est_mask=honeycomb)
+        metric_rows = [(t, *m.as_row(), m.n) for t, m in per_window]
+        metric_rows.append(("aggregate", *aggregate.as_row(), aggregate.n))
         _write_csv(
             out / "depth_metrics.csv", header,
             ["t_start", "rmse_lin", "rmse_log", "ard", "srd", "delta1",
              "delta2", "delta3", "n"],
-            rows)
+            metric_rows)
         print(f"aggregate ARD {aggregate.ard:.4f} over {aggregate.n} "
               f"region-windows")
     return EXIT_OK

@@ -1,5 +1,5 @@
-"""Fundamental data types: events, camera intrinsics, time windows, region
-masks, and the count image with its accumulation contract.
+"""Fundamental data types: events, camera intrinsics, time windows and
+region masks, plus window slicing and the bilinear splat kernel.
 
 Events are stored struct-of-arrays (parallel numpy vectors) rather than as
 per-event objects; all operations are pure functions over those arrays.
@@ -51,11 +51,6 @@ class Events:
     def __len__(self):
         return self.x.size
 
-    @classmethod
-    def empty(cls) -> "Events":
-        z = np.empty(0)
-        return cls(z, z, z, np.empty(0, dtype=np.int8))
-
     def validate(self, width: int | None = None, height: int | None = None) -> "Events":
         """Check stream invariants; returns self so calls can be chained."""
         if len(self) == 0:
@@ -92,6 +87,8 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.fx, self.fy, self.cx, self.cy))):
+            raise ValidationError("intrinsics must be finite")
         if self.fx <= 0 or self.fy <= 0:
             raise ValidationError("focal lengths must be positive")
         if self.width <= 0 or self.height <= 0:
@@ -123,7 +120,7 @@ class EventWindow:
         if not (self.t_start <= self.t_ref <= self.t_end):
             raise ValidationError("t_ref must lie within [t_start, t_end]")
         ev = self.events
-        # one-ulp slop: boundaries are accumulated in floating point
+        # one-ulp slop: boundaries are computed in floating point
         eps = 1e-9 * max(1.0, abs(self.t_end))
         if len(ev) and (ev.t[0] < self.t_start - eps
                         or ev.t[-1] > self.t_end + eps):
@@ -188,23 +185,6 @@ class RegionMask:
         return out
 
 
-@dataclass(frozen=True)
-class CountImage:
-    """Per-pixel accumulated event mass after warping.
-
-    Bilinear splatting yields fractional counts; `dropped` tallies the mass
-    that fell outside the sensor. sum(counts) + dropped equals the number of
-    splatted events (to float accumulation error).
-    """
-
-    counts: np.ndarray  # (height, width) non-negative reals
-    dropped: float = 0.0
-
-    @property
-    def total(self) -> float:
-        return float(self.counts.sum())
-
-
 def slice_windows(stream: Events, dt: float) -> list[EventWindow]:
     """Partition a sorted stream into consecutive windows of width dt.
 
@@ -248,19 +228,6 @@ def slice_windows_count(stream: Events, n_events: int) -> list[EventWindow]:
         t_start, t_end = float(ev.t[0]), float(ev.t[-1])
         windows.append(EventWindow(ev, t_start, t_end, t_ref=t_start))
     return windows
-
-
-def accumulate(positions: np.ndarray, width: int, height: int) -> CountImage:
-    """Splat continuous (x, y) positions into a count image.
-
-    Each position distributes unit mass over its 4 neighboring integer
-    pixels with bilinear weights; mass falling outside the sensor is
-    dropped and tallied in CountImage.dropped.
-    """
-    positions = np.asarray(positions, dtype=np.float64).reshape(-1, 2)
-    counts = _splat(positions[None, :, :], width, height)[0]
-    dropped = positions.shape[0] - counts.sum()
-    return CountImage(counts, dropped=float(max(dropped, 0.0)))
 
 
 def _splat(positions: np.ndarray, width: int, height: int,

@@ -122,6 +122,8 @@ def read_masks(path) -> tuple[list[tuple[float, RegionMask]], int, int]:
             width, height, n_win = (int(v) for v in header[1:])
         except ValueError:
             raise ParseError("bad header fields", line=1) from None
+        if width <= 0 or height <= 0 or n_win <= 0:
+            raise ParseError("header fields must be positive", line=1)
         masks = []
         ln = 1
         for _ in range(n_win):
@@ -199,6 +201,8 @@ def read_gt_depth(path) -> list[tuple[float, dict[int, float]]]:
         if len(header) != 2 or header[0] != "gtd1":
             raise ParseError("expected header 'gtd1 <n_windows>'", line=1)
         n_win = _parse(int, header[1], 1)
+        if n_win <= 0:
+            raise ParseError("window count must be positive", line=1)
         out = []
         current = None
         for ln, raw in enumerate(fh, start=2):

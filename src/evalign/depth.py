@@ -25,18 +25,10 @@ REFERENCE_VAR = 1e-4  # variance floor that pins the reference track
 
 
 @dataclass(frozen=True)
-class RegionFlow:
-    region_id: int
-    centroid: tuple[float, float]
-    v_r: FlowVector
-
-
-@dataclass(frozen=True)
 class DistanceTrack:
     region_id: int
     d: float
     var: float
-    last_update: float
 
     def __post_init__(self):
         if self.var <= 0:
@@ -87,8 +79,7 @@ def relative_distance(v_r: FlowVector, v_r_ref: FlowVector) -> float:
 def track_predict(track: DistanceTrack, sigma_proc: float) -> DistanceTrack:
     """Constant-distance process model: mean unchanged, var += sigma_proc^2."""
     return DistanceTrack(track.region_id, track.d,
-                         track.var + sigma_proc * sigma_proc,
-                         track.last_update)
+                         track.var + sigma_proc * sigma_proc)
 
 
 def track_update(track: DistanceTrack, z: float, v_r: FlowVector) -> DistanceTrack:
@@ -107,21 +98,17 @@ def track_update(track: DistanceTrack, z: float, v_r: FlowVector) -> DistanceTra
     gain = track.var / (track.var + r_meas)
     d = track.d + gain * (z - track.d)
     var = (1.0 - gain) * track.var
-    return DistanceTrack(track.region_id, d, var, track.last_update)
+    return DistanceTrack(track.region_id, d, var)
 
 
-def region_flows(result: AlignmentResult, intr: CameraIntrinsics) -> dict[int, RegionFlow]:
+def region_flows(result: AlignmentResult, intr: CameraIntrinsics) -> dict[int, FlowVector]:
     """Rotational flow at each converged region's event-mass centroid."""
     flows = {}
     for rid, est in result.per_region.items():
         if not est.converged or est.centroid is None:
             continue
-        flows[rid] = RegionFlow(
-            region_id=rid,
-            centroid=est.centroid,
-            v_r=rot_flow(AngularVelocity2(est.m, result.phi_global).as_3dof(),
-                         est.centroid, intr),
-        )
+        omega = AngularVelocity2(est.m, result.phi_global).as_3dof()
+        flows[rid] = rot_flow(omega, est.centroid, intr)
     return flows
 
 
@@ -140,7 +127,7 @@ def estimate_window_depth(result: AlignmentResult, mask: RegionMask,
     flows = region_flows(result, intr)
     try:
         ref_id = select_reference(mask, result)
-        v_ref = flows[ref_id].v_r
+        v_ref = flows[ref_id]
         if v_ref.magnitude() <= EPS_FLOW:
             ref_id = None
     except (EvalignError, KeyError):
@@ -151,14 +138,14 @@ def estimate_window_depth(result: AlignmentResult, mask: RegionMask,
     for rid in sorted(result.per_region):
         m = result.per_region[rid].m
         if rid == ref_id:
-            tracks[rid] = DistanceTrack(rid, 1.0, REFERENCE_VAR, t)
+            tracks[rid] = DistanceTrack(rid, 1.0, REFERENCE_VAR)
             rows.append(DepthRow(t, rid, phi, m, 1.0, 1.0, REFERENCE_VAR,
                                  True, True))
             continue
         d_meas = nan
         if ref_id is not None:
             try:
-                d_meas = relative_distance(flows[rid].v_r, v_ref)
+                d_meas = relative_distance(flows[rid], v_ref)
             except (DegenerateFlowError, KeyError):
                 pass
 
@@ -167,15 +154,15 @@ def estimate_window_depth(result: AlignmentResult, mask: RegionMask,
             track = track_predict(track, sigma_proc)
         applied = d_meas > 0  # False for nan
         if applied and track is None:
-            mag = flows[rid].v_r.magnitude()
-            track = DistanceTrack(rid, d_meas, 1.0 / (mag * mag), t)
+            mag = flows[rid].magnitude()
+            track = DistanceTrack(rid, d_meas, 1.0 / (mag * mag))
         elif applied:
-            track = track_update(track, d_meas, flows[rid].v_r)
+            track = track_update(track, d_meas, flows[rid])
         if track is None:
             rows.append(DepthRow(t, rid, phi, m, d_meas, nan, nan, False,
                                  False))
             continue
-        tracks[rid] = DistanceTrack(rid, track.d, track.var, t)
+        tracks[rid] = track
         rows.append(DepthRow(t, rid, phi, m, d_meas, track.d, track.var,
                              applied, False))
     return rows

@@ -46,25 +46,11 @@ class AngVelMetrics:
     rms_pct: float   # 100 * rms / max_rate
 
 
-def depth_metrics(pred: dict[int, float], gt: dict[int, float]) -> DepthMetrics:
-    """Depth errors over the keys shared by pred and gt."""
-    keys = sorted(set(pred) & set(gt))
-    if not keys:
-        raise ValidationError("prediction and ground truth share no regions")
-    return _depth_metrics(np.array([pred[k] for k in keys], dtype=np.float64),
-                          np.array([gt[k] for k in keys], dtype=np.float64))
-
-
 def pool_depth_metrics(pairs: list[tuple[float, float]]) -> DepthMetrics:
-    """Aggregate metrics over pooled (pred, gt) pairs from many windows."""
+    """Depth errors over (pred, gt) pairs, one window's or pooled."""
     if not pairs:
         raise ValidationError("no (pred, gt) pairs to aggregate")
     p, g = (np.array(col, dtype=np.float64) for col in zip(*pairs))
-    return _depth_metrics(p, g)
-
-
-def _depth_metrics(p: np.ndarray, g: np.ndarray) -> DepthMetrics:
-    """Depth errors of paired, non-empty prediction and truth arrays."""
     if np.any(p <= 0) or np.any(g <= 0):
         raise ValidationError("depth values must be positive")
     diff = p - g

@@ -6,7 +6,7 @@ The CLI is a thin file-handling layer over these functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,18 +45,20 @@ class RunConfig:
     hot_threshold: float | None = None  # None = hot-pixel filter off
     seed: int = 0
 
+    def __post_init__(self):
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValidationError("dt must be positive and finite")
+        if not (math.isfinite(self.sigma_proc) and self.sigma_proc >= 0):
+            raise ValidationError("sigma_proc must be non-negative and finite")
+        if self.phi_samples < 1:
+            raise ValidationError("phi_samples must be at least 1")
+
     def nb_params(self) -> NBParams:
         return NBParams(self.nb_r, self.nb_q)
 
 
-@dataclass
-class DepthRunResult:
-    rows: list[DepthRow] = field(default_factory=list)
-    n_converged_windows: int = 0
-
-
 def run_depth(events: Events, intr: CameraIntrinsics, cfg: RunConfig,
-              mask_provider, imu: ImuTrace | None = None) -> DepthRunResult:
+              mask_provider, imu: ImuTrace | None = None) -> list[DepthRow]:
     """Window loop of the distance pipeline.
 
     mask_provider maps (window_index, t_start) -> RegionMask. Windows whose
@@ -65,24 +67,21 @@ def run_depth(events: Events, intr: CameraIntrinsics, cfg: RunConfig,
     """
     windows = slice_windows(events, cfg.dt)
     tracks = {}
-    out = DepthRunResult()
+    rows = []
     params = cfg.nb_params()
     for k, w in enumerate(windows):
         mask = mask_provider(k, w.t_start)
         try:
             result = align_window(
-                w, mask, imu, None, params, intr,
+                w, mask, imu, params, intr,
                 phi_samples=cfg.phi_samples, min_events=cfg.min_events,
                 grid_n=cfg.grid_n, m_max=cfg.m_max)
         except InsufficientEventsError:
-            out.rows.extend(coast_tracks(tracks, cfg.sigma_proc, w.t_start))
+            rows.extend(coast_tracks(tracks, cfg.sigma_proc, w.t_start))
             continue
-        rows = estimate_window_depth(result, mask, intr, tracks,
-                                     cfg.sigma_proc, t=w.t_start)
-        if any(r.converged for r in rows):
-            out.n_converged_windows += 1
-        out.rows.extend(rows)
-    return out
+        rows.extend(estimate_window_depth(result, mask, intr, tracks,
+                                          cfg.sigma_proc, t=w.t_start))
+    return rows
 
 
 def remap_gt_regions(gt_mask: RegionMask, gt_depth: dict[int, float],
@@ -108,20 +107,20 @@ def remap_gt_regions(gt_mask: RegionMask, gt_depth: dict[int, float],
     return out
 
 
-def evaluate_depth_run(result: DepthRunResult,
+def evaluate_depth_run(run_rows: list[DepthRow],
                        gt_depths: list[tuple[float, dict[int, float]]],
                        gt_masks: list[tuple[float, RegionMask]] | None = None,
-                       est_masks: list[tuple[float, RegionMask]] | None = None,
+                       est_mask: RegionMask | None = None,
                        ) -> tuple[list[tuple[float, DepthMetrics]], DepthMetrics]:
     """Per-window and pooled metrics of tracked relative distances.
 
     Ground-truth relative distance is z / z_ref with the reference region
-    chosen by the run in that window. When gt_masks and est_masks are
-    given, ground-truth depths are first remapped onto the estimation
-    regions by majority vote.
+    chosen by the run in that window. When gt_masks and est_mask (the one
+    estimation mask of every window) are given, ground-truth depths are
+    first remapped onto the estimation regions by majority vote.
     """
     by_window: dict[float, list[DepthRow]] = {}
-    for row in result.rows:
+    for row in run_rows:
         by_window.setdefault(row.t_start, []).append(row)
 
     gt_t = np.array([t for t, _ in gt_depths])
@@ -131,9 +130,8 @@ def evaluate_depth_run(result: DepthRunResult,
         rows = by_window[t_start]
         gi = int(np.argmin(np.abs(gt_t - t_start)))
         gt_z = gt_depths[gi][1]
-        if gt_masks is not None and est_masks is not None:
-            gt_z = remap_gt_regions(gt_masks[gi][1], gt_z,
-                                    est_masks[min(gi, len(est_masks) - 1)][1])
+        if gt_masks is not None and est_mask is not None:
+            gt_z = remap_gt_regions(gt_masks[gi][1], gt_z, est_mask)
         ref = next((r for r in rows if r.is_reference), None)
         if ref is None or ref.region_id not in gt_z:
             continue

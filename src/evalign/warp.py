@@ -4,10 +4,10 @@ Conventions (camera frame: x right, y down, z forward):
   - rot_flow returns the image velocity induced by camera angular velocity
     omega, evaluated from the standard rotational flow field in normalized
     coordinates (depth never enters).
-  - warp_window displaces each event by -flow * (t - t_ref): a first-order
-    warp back to the reference time. A rotation "compensates" a translation
-    when its flow field equals the translational image flow, so the warp
-    removes the drift.
+  - warp_positions displaces each event by -flow * (t - t_ref): a
+    first-order warp back to the reference time. A rotation "compensates"
+    a translation when its flow field equals the translational image flow,
+    so the warp removes the drift.
   - The 2-DOF polar form (m, phi) parametrizes pan/tilt rotations by the
     image-plane direction phi of the flow they induce at the principal
     point: (wx, wy) = m * (sin phi, -cos phi). With fx = fy the flow at the
@@ -82,9 +82,6 @@ class FlowVector:
 
     def magnitude(self) -> float:
         return math.hypot(self.u, self.v)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.u, self.v])
 
 
 @dataclass(frozen=True)
@@ -170,16 +167,6 @@ def warp_positions(events: Events, omega3: np.ndarray, t_ref: float,
     flow = J @ np.asarray(omega3, dtype=np.float64)
     dt = (events.t - t_ref)[:, None]
     return events.positions() - flow * dt
-
-
-def warp_window(w: EventWindow, omega: AngularVelocity2,
-                intr: CameraIntrinsics) -> np.ndarray:
-    """Warp a window's events by a 2-DOF virtual rotation (wz = 0).
-
-    Returns the (n, 2) warped positions; each event is displaced by
-    -rot_flow(omega) * (t - t_ref).
-    """
-    return warp_positions(w.events, omega.as_3dof().as_array(), w.t_ref, intr)
 
 
 def derotate(w: EventWindow, imu: ImuTrace | None,

@@ -145,7 +145,7 @@ class TestAlignWindow:
     def test_two_plane_magnitude_ratio(self, intr, symmetric_two_plane):
         scene, motion, res = symmetric_two_plane
         w = res.event_windows()[0]
-        result = align_window(w, res.windows[0].mask, None, None, None, intr)
+        result = align_window(w, res.windows[0].mask, None, None, intr)
         m_near = result.per_region[1].m
         m_far = result.per_region[2].m
         assert m_near / m_far == pytest.approx(2.0, abs=0.1)
@@ -156,8 +156,8 @@ class TestAlignWindow:
         _, _, res = symmetric_two_plane
         w = res.event_windows()[0]
         mask = res.windows[0].mask
-        grid = MagnitudeGrid.for_window(w, intr)
-        result = align_window(w, mask, None, grid, None, intr)
+        result = align_window(w, mask, None, None, intr)
+        grid = MagnitudeGrid.for_window(w, intr)  # align_window's grid
         for rid, est in result.per_region.items():
             m, _ = estimate_magnitude(w, result.phi_global,
                                       mask.bool_mask(rid), grid, None, intr)
@@ -168,8 +168,8 @@ class TestAlignWindow:
         _, _, res, _ = two_plane_run
         w = res.event_windows()[0]
         mask = RegionMask(np.ones((intr.height, intr.width), dtype=np.int32))
+        result = align_window(w, mask, None, None, intr, m_max=1.5)
         grid = MagnitudeGrid(m_max=1.5, n=50)
-        result = align_window(w, mask, None, grid, None, intr)
         m, _ = estimate_magnitude(w, result.phi_global, None, grid, None,
                                   intr)
         assert result.per_region[1].m == pytest.approx(m, abs=1e-12)
@@ -179,7 +179,7 @@ class TestAlignWindow:
         w = res.event_windows()[0]
         labels = res.windows[0].mask.labels.copy()
         labels[0:6, 0:6] = 3  # corner region without events
-        result = align_window(w, RegionMask(labels), None, None, None, intr)
+        result = align_window(w, RegionMask(labels), None, None, intr)
         assert not result.per_region[3].converged
         assert result.per_region[3].n_events < 50
         assert result.per_region[1].converged
@@ -189,7 +189,7 @@ class TestAlignWindow:
         scene, motion, res = symmetric_two_plane
         w = res.event_windows()[0]
         mask = res.windows[0].mask
-        result = align_window(w, mask, None, None, None, intr)
+        result = align_window(w, mask, None, None, intr)
         phi = result.phi_global
         for rid, est in result.per_region.items():
             obj = WindowObjective(w, intr, mask.bool_mask(rid), None)
@@ -206,9 +206,9 @@ class TestAlignWindow:
         _, _, res = symmetric_two_plane
         w = res.event_windows()[0]
         mask = res.windows[0].mask
-        pooled = align_window(w, mask, None, None, None, intr)
+        pooled = align_window(w, mask, None, None, intr)
         serial_scan()
-        assert align_window(w, mask, None, None, None, intr) == pooled
+        assert align_window(w, mask, None, None, intr) == pooled
 
 
 class TestAlignWindow3Dof:

@@ -210,6 +210,25 @@ class TestDepthCommand:
         assert err.startswith(f"error: line {line}: malformed number")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--phi-samples", "0"], "phi_samples"),
+        (["--dt", "nan"], "dt"),
+        (["--sigma-proc", "nan"], "sigma_proc"),
+        (["--sigma-proc", "-1"], "sigma_proc"),
+        (["--intrinsics", "200,200,inf,59.5"], "finite"),
+        (["--intrinsics", "nan,200,95.5,59.5"], "finite"),
+    ])
+    def test_bad_config_exit_2(self, dataset, tmp_path, capsys, flags,
+                               message):
+        code = main(["depth", "--events", str(dataset / "events.evt"),
+                     "--mask", str(dataset / "masks.msk"),
+                     "--out", str(tmp_path / "out"), *FAST, *flags])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
 
 @pytest.mark.parametrize("command, required", [
     ("depth", ["--events", "e", "--mask", "m", "--out", "o"]),

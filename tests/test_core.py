@@ -1,11 +1,12 @@
-"""Core types: window slicing and bilinear accumulation."""
+"""Core types: window slicing and the bilinear splat kernel."""
 
 import math
 
 import numpy as np
 import pytest
 
-from evalign import Events, accumulate, slice_windows, slice_windows_count
+from evalign import (CameraIntrinsics, Events, slice_windows,
+                     slice_windows_count)
 from evalign.core import _splat
 from evalign.errors import ValidationError
 
@@ -25,7 +26,7 @@ class TestSliceWindows:
         assert len(windows) == 20
 
     def test_empty_stream(self):
-        assert slice_windows(Events.empty(), dt=0.05) == []
+        assert slice_windows(Events(*np.empty((4, 0))), dt=0.05) == []
 
     def test_seven_events_split_five_two(self):
         ts = [0.00, 0.01, 0.02, 0.03, 0.04, 0.05, 0.06]
@@ -85,35 +86,41 @@ def brute_force_splat(positions, width, height):
     return img, dropped
 
 
+def splat_one(pos, width=32, height=32):
+    """Count image of one (N, 2) position set."""
+    return _splat(np.asarray(pos, dtype=float)[None], width, height)[0]
+
+
 class TestAccumulate:
     def test_integer_position(self):
-        ci = accumulate(np.array([[10.0, 10.0]]), width=32, height=32)
-        assert ci.counts[10, 10] == 1.0
-        assert ci.total == 1.0
+        img = splat_one([[10.0, 10.0]])
+        assert img[10, 10] == 1.0
+        assert img.sum() == 1.0
 
     def test_bilinear_half_split(self):
         # (x=10.5, y=10) splits evenly across the two x neighbors
-        ci = accumulate(np.array([[10.5, 10.0]]), width=32, height=32)
-        assert ci.counts[10, 10] == pytest.approx(0.5)
-        assert ci.counts[10, 11] == pytest.approx(0.5)
-        assert ci.total == pytest.approx(1.0)
+        img = splat_one([[10.5, 10.0]])
+        assert img[10, 10] == pytest.approx(0.5)
+        assert img[10, 11] == pytest.approx(0.5)
+        assert img.sum() == pytest.approx(1.0)
 
     def test_mass_conservation_1000_events(self):
         rng = np.random.default_rng(3)
         pos = rng.uniform(1.0, 30.0, size=(1000, 2))
-        ci = accumulate(pos, width=32, height=32)
+        img = splat_one(pos)
         expected, dropped = brute_force_splat(pos, 32, 32)
         assert dropped == 0.0
-        assert ci.total == pytest.approx(1000.0, rel=1e-6)
-        np.testing.assert_allclose(ci.counts, expected, atol=1e-9)
+        assert img.sum() == pytest.approx(1000.0, rel=1e-6)
+        np.testing.assert_allclose(img, expected, atol=1e-9)
 
     def test_out_of_bounds_mass_tallied(self):
+        # the mass the kernel drops is what it leaves off the canvas
         pos = np.array([[31.5, 5.0], [-4.0, 2.0], [10.0, 10.0]])
-        ci = accumulate(pos, width=32, height=32)
+        img = splat_one(pos)
         expected, dropped = brute_force_splat(pos, 32, 32)
-        np.testing.assert_allclose(ci.counts, expected, atol=1e-12)
-        assert ci.dropped == pytest.approx(dropped)
-        assert ci.total + ci.dropped == pytest.approx(3.0)
+        np.testing.assert_allclose(img, expected, atol=1e-12)
+        assert len(pos) - img.sum() == pytest.approx(dropped)
+        assert dropped == pytest.approx(1.5)
 
     def test_batches_match_brute_force(self):
         """B > 1 batches whose rows lie inside the canvas, straddle its
@@ -147,8 +154,18 @@ class TestAccumulate:
         rng = np.random.default_rng(4)
         for _ in range(25):
             pos = rng.uniform(2.0, 29.0, size=(1, 2))
-            ci = accumulate(pos, width=32, height=32)
-            assert np.count_nonzero(ci.counts) <= 4
+            assert np.count_nonzero(splat_one(pos)) <= 4
+
+
+class TestCameraIntrinsics:
+    @pytest.mark.parametrize("field", ["fx", "fy", "cx", "cy"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, field, value):
+        kw = dict(fx=200.0, fy=200.0, cx=95.5, cy=59.5, width=192,
+                  height=120)
+        kw[field] = value
+        with pytest.raises(ValidationError, match="finite"):
+            CameraIntrinsics(**kw)
 
 
 class TestEventsValidation:

@@ -113,6 +113,14 @@ class TestMaskFile:
         with pytest.raises(ParseError, match=f"line {line}: malformed"):
             read_masks(p)
 
+    @pytest.mark.parametrize("header", ["msk1 192 120 0", "msk1 0 0 1",
+                                        "msk1 2 -1 1"])
+    def test_non_positive_header_field_rejected(self, tmp_path, header):
+        p = tmp_path / "bad.msk"
+        p.write_text(header + "\nwin 0.0\n1 1\n")
+        with pytest.raises(ParseError, match="line 1: .*positive"):
+            read_masks(p)
+
 
 class TestImuFile:
     def test_round_trip_byte_identical(self, tmp_path):
@@ -179,6 +187,13 @@ class TestGtDepthFile:
         with pytest.raises(ParseError, match=f"line {line}: malformed"):
             read_gt_depth(p)
 
+    @pytest.mark.parametrize("text", ["gtd1 0\n", "gtd1 -1\n"])
+    def test_no_window_rejected(self, tmp_path, text):
+        p = tmp_path / "bad.gtd"
+        p.write_text(text)
+        with pytest.raises(ParseError, match="line 1: .*positive"):
+            read_gt_depth(p)
+
 
 class TestHoneycomb:
     def test_full_coverage_no_background(self):
@@ -234,7 +249,7 @@ class TestHotPixelFilter:
         assert len(out) == len(res.events) - before_hot
 
     def test_empty_stream(self):
-        out = filter_hot_pixels(Events.empty(), 64, 48, rate_threshold=10.0)
+        out = filter_hot_pixels(Events(*np.empty((4, 0))), 64, 48, rate_threshold=10.0)
         assert len(out) == 0
 
     def test_idempotent(self, intr):

@@ -118,45 +118,45 @@ class TestRelativeDistance:
 
 class TestKalman:
     def test_predict_adds_variance(self):
-        tr = DistanceTrack(1, 1.5, 0.04, 0.0)
+        tr = DistanceTrack(1, 1.5, 0.04)
         out = track_predict(tr, 0.1)
         assert out.d == 1.5
         assert out.var == pytest.approx(0.05, abs=1e-15)
 
     def test_predict_zero_noise_identity(self):
-        tr = DistanceTrack(1, 1.5, 0.04, 0.0)
+        tr = DistanceTrack(1, 1.5, 0.04)
         assert track_predict(tr, 0.0) == tr
 
     def test_predict_variance_additivity(self):
-        tr = DistanceTrack(1, 1.0, 0.01, 0.0)
+        tr = DistanceTrack(1, 1.0, 0.01)
         twice = track_predict(track_predict(tr, 0.1), 0.1)
         once = track_predict(tr, math.sqrt(0.02))
         assert twice.var == pytest.approx(once.var, abs=1e-15)
 
     def test_update_hand_computed(self):
         # d=1.0, var=0.05, z=1.2, |v_r|=2 => R=0.25, K=1/6
-        tr = DistanceTrack(1, 1.0, 0.05, 0.0)
+        tr = DistanceTrack(1, 1.0, 0.05)
         out = track_update(tr, 1.2, FlowVector(2.0, 0.0))
         assert out.d == pytest.approx(1.0 + (0.2 / 6.0), abs=1e-12)
         assert out.var == pytest.approx(0.05 * 5.0 / 6.0, abs=1e-12)
 
     def test_zero_gain_limit(self):
-        tr = DistanceTrack(1, 1.0, 1e-8, 0.0)
+        tr = DistanceTrack(1, 1.0, 1e-8)
         out = track_update(tr, 5.0, FlowVector(0.002, 0.0))  # R = 250000
         assert out.d == pytest.approx(1.0, abs=1e-9)
 
     def test_full_gain_limit(self):
-        tr = DistanceTrack(1, 1.0, 1e6, 0.0)
+        tr = DistanceTrack(1, 1.0, 1e6)
         out = track_update(tr, 5.0, FlowVector(100.0, 0.0))
         assert out.d == pytest.approx(5.0, rel=1e-6)
 
     def test_nonpositive_measurement_skipped(self):
-        tr = DistanceTrack(1, 1.0, 0.05, 0.0)
+        tr = DistanceTrack(1, 1.0, 0.05)
         assert track_update(tr, -0.3, FlowVector(2.0, 0.0)) == tr
 
     def test_variance_monotonicity(self):
         rng = np.random.default_rng(18)
-        tr = DistanceTrack(1, 1.0, 0.5, 0.0)
+        tr = DistanceTrack(1, 1.0, 0.5)
         for _ in range(200):
             pred = track_predict(tr, rng.uniform(0, 0.3))
             assert pred.var >= tr.var
@@ -166,7 +166,7 @@ class TestKalman:
             tr = upd
 
     def test_convergence_to_constant_measurement(self):
-        tr = DistanceTrack(1, 3.0, 1.0, 0.0)
+        tr = DistanceTrack(1, 3.0, 1.0)
         z_star = 0.7
         flow = FlowVector(2.0, 0.0)
         gaps = []
@@ -184,7 +184,7 @@ class TestKalman:
         for _ in range(1000):
             d = rng.uniform(0.2, 3.0)
             var = rng.uniform(0.01, 2.0)
-            tr = DistanceTrack(1, d, var, 0.0)
+            tr = DistanceTrack(1, d, var)
             for _ in range(rng.integers(1, 8)):
                 sig = rng.uniform(0.0, 0.3)
                 tr = track_predict(tr, sig)
@@ -233,7 +233,7 @@ class TestEstimateWindowDepth:
 
     def test_no_converged_region_coasts(self, intr):
         mask = mask_with_sizes(intr, {1: 900, 2: 500})
-        tracks = {2: DistanceTrack(2, 0.7, 0.02, 0.0)}
+        tracks = {2: DistanceTrack(2, 0.7, 0.02)}
         result = fake_result({
             1: (0.1, (5.0, 5.0), False, 3),
             2: (0.1, (17.0, 5.0), False, 4),
@@ -262,8 +262,8 @@ class TestEstimateWindowDepth:
         assert not rows[2].converged and math.isnan(rows[2].d_track)
 
     def test_coasting_rows_predict_every_track(self):
-        tracks = {2: DistanceTrack(2, 0.7, 0.02, 0.0),
-                  1: DistanceTrack(1, 1.0, 1e-4, 0.0)}
+        tracks = {2: DistanceTrack(2, 0.7, 0.02),
+                  1: DistanceTrack(1, 1.0, 1e-4)}
         rows = coast_tracks(tracks, 0.1, t=0.4)
         assert [r.region_id for r in rows] == [1, 2]
         assert tracks[2].var == pytest.approx(0.03)
@@ -282,7 +282,7 @@ class TestEstimateWindowDepth:
         tracks = {}
         for k, w in enumerate(windows):
             mask = res.windows[k].mask
-            result = align_window(w, mask, None, None, None, intr)
+            result = align_window(w, mask, None, None, intr)
             estimate_window_depth(result, mask, intr, tracks, 0.1,
                                   t=w.t_start)
         assert tracks[1].d == pytest.approx(0.5, abs=0.05)

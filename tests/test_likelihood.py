@@ -107,7 +107,7 @@ def uniform_window(rng, n=200, t_end=0.05):
 
 class TestWindowLogLikelihood:
     def test_zero_events_gives_region_times_logpmf0(self, intr):
-        w = EventWindow(Events.empty(), 0.0, 0.05, 0.0)
+        w = EventWindow(Events(*np.empty((4, 0))), 0.0, 0.05, 0.0)
         region = np.zeros((intr.height, intr.width), dtype=bool)
         region[10:20, 10:30] = True
         params = NBParams(0.5, 0.8)
@@ -116,7 +116,7 @@ class TestWindowLogLikelihood:
         assert ll == pytest.approx(region.sum() * nb_log_pmf(0, params))
 
     def test_empty_region_rejected(self, intr):
-        w = EventWindow(Events.empty(), 0.0, 0.05, 0.0)
+        w = EventWindow(Events(*np.empty((4, 0))), 0.0, 0.05, 0.0)
         region = np.zeros((intr.height, intr.width), dtype=bool)
         with pytest.raises(ValidationError):
             WindowObjective(w, intr, region, NBParams(0.5, 0.8))
@@ -222,7 +222,7 @@ class TestMarginal:
     def test_constant_integrand(self, intr):
         # zero events: the inner likelihood is a constant L, so the
         # marginal is L + log(m_max) under trapezoid quadrature
-        w = EventWindow(Events.empty(), 0.0, 0.05, 0.0)
+        w = EventWindow(Events(*np.empty((4, 0))), 0.0, 0.05, 0.0)
         params = NBParams(0.5, 0.8)
         grid = MagnitudeGrid(m_max=2.0, n=2)
         ll = marginal_from_objective(WindowObjective(w, intr, None, params),

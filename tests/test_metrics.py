@@ -7,15 +7,14 @@ import pytest
 
 from evalign import AngularVelocity3
 from evalign.errors import ValidationError
-from evalign.metrics import angvel_metrics, depth_metrics
+from evalign.metrics import angvel_metrics, pool_depth_metrics
 
 RAD = math.pi / 180.0
 
 
 class TestDepthMetrics:
     def test_perfect_prediction(self):
-        gt = {1: 0.5, 2: 1.0, 3: 2.2}
-        m = depth_metrics(dict(gt), gt)
+        m = pool_depth_metrics([(g, g) for g in (0.5, 1.0, 2.2)])
         assert m.rmse_lin == 0.0
         assert m.rmse_log == 0.0
         assert m.ard == 0.0
@@ -23,7 +22,7 @@ class TestDepthMetrics:
         assert (m.delta1, m.delta2, m.delta3) == (100.0, 100.0, 100.0)
 
     def test_single_region_hand_computed(self):
-        m = depth_metrics({1: 1.2}, {1: 1.0})
+        m = pool_depth_metrics([(1.2, 1.0)])
         assert m.rmse_lin == pytest.approx(0.2)
         assert m.ard == pytest.approx(0.2)
         assert m.srd == pytest.approx(0.04)
@@ -34,12 +33,12 @@ class TestDepthMetrics:
     def test_factor_two_fails_all_thresholds(self):
         # 1.25^3 = 1.953125 < 2, so even the loosest threshold fails
         assert 1.25**3 == pytest.approx(1.953125)
-        m = depth_metrics({1: 2.0, 2: 5.0}, {1: 1.0, 2: 2.5})
+        m = pool_depth_metrics([(2.0, 1.0), (5.0, 2.5)])
         assert (m.delta1, m.delta2, m.delta3) == (0.0, 0.0, 0.0)
 
     def test_symmetric_ratio(self):
-        over = depth_metrics({1: 1.3}, {1: 1.0})
-        under = depth_metrics({1: 1.0}, {1: 1.3})
+        over = pool_depth_metrics([(1.3, 1.0)])
+        under = pool_depth_metrics([(1.0, 1.3)])
         assert over.delta1 == under.delta1 == 0.0
         assert over.delta2 == under.delta2 == 100.0
 
@@ -47,19 +46,18 @@ class TestDepthMetrics:
         rng = np.random.default_rng(27)
         for _ in range(100):
             n = rng.integers(1, 12)
-            gt = {i: rng.uniform(0.2, 4.0) for i in range(n)}
-            pred = {i: gt[i] * rng.uniform(0.5, 2.0) for i in range(n)}
-            m = depth_metrics(pred, gt)
+            gt = rng.uniform(0.2, 4.0, size=n)
+            pred = gt * rng.uniform(0.5, 2.0, size=n)
+            m = pool_depth_metrics(list(zip(pred, gt)))
             assert m.delta1 <= m.delta2 <= m.delta3
 
     def test_scale_relation(self):
         rng = np.random.default_rng(28)
-        gt = {i: rng.uniform(0.3, 3.0) for i in range(8)}
-        pred = {i: gt[i] * rng.uniform(0.7, 1.4) for i in range(8)}
-        base = depth_metrics(pred, gt)
+        gt = rng.uniform(0.3, 3.0, size=8)
+        pred = gt * rng.uniform(0.7, 1.4, size=8)
+        base = pool_depth_metrics(list(zip(pred, gt)))
         s = 3.7
-        scaled = depth_metrics({k: s * v for k, v in pred.items()},
-                               {k: s * v for k, v in gt.items()})
+        scaled = pool_depth_metrics(list(zip(s * pred, s * gt)))
         assert scaled.rmse_lin == pytest.approx(s * base.rmse_lin)
         assert scaled.srd == pytest.approx(s * base.srd)
         assert scaled.rmse_log == pytest.approx(base.rmse_log)
@@ -70,9 +68,9 @@ class TestDepthMetrics:
 
     def test_errors(self):
         with pytest.raises(ValidationError):
-            depth_metrics({1: 1.0}, {2: 1.0})  # disjoint keys
+            pool_depth_metrics([])  # no pairs
         with pytest.raises(ValidationError):
-            depth_metrics({1: -1.0}, {1: 1.0})  # non-positive
+            pool_depth_metrics([(-1.0, 1.0)])  # non-positive
 
 
 class TestAngVelMetrics:

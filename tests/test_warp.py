@@ -1,6 +1,7 @@
 """Rotational flow field, event warping, and IMU derotation."""
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from evalign import (
     EventWindow,
     derotate,
     rot_flow,
-    warp_window,
 )
 from evalign.errors import ImuGapError, ValidationError
 from evalign.warp import ImuTrace, warp_positions
@@ -63,10 +63,9 @@ class TestRotFlow:
             w2 = rng.normal(size=3)
             a, b = rng.normal(size=2)
             px = tuple(rng.uniform(10, 230, 2))
-            f1 = rot_flow(AngularVelocity3(*w1), px, INTR).as_array()
-            f2 = rot_flow(AngularVelocity3(*w2), px, INTR).as_array()
-            fc = rot_flow(AngularVelocity3(*(a * w1 + b * w2)), px,
-                          INTR).as_array()
+            f1, f2, fc = (
+                np.array(astuple(rot_flow(AngularVelocity3(*om), px, INTR)))
+                for om in (w1, w2, a * w1 + b * w2))
             np.testing.assert_allclose(fc, a * f1 + b * f2, atol=1e-9)
 
 
@@ -99,12 +98,16 @@ def single_event_window(x, y, t, t_ref=0.0, t_end=0.1):
 class TestWarpWindow:
     def test_zero_magnitude_is_identity(self):
         w = single_event_window(50.0, 60.0, 0.04)
-        pos = warp_window(w, AngularVelocity2(0.0, 1.23), INTR)
+        om = AngularVelocity2(0.0, 1.23)
+        pos = warp_positions(w.events, om.as_3dof().as_array(), w.t_ref,
+                             INTR)
         np.testing.assert_allclose(pos, [[50.0, 60.0]])
 
     def test_event_at_t_ref_unmoved(self):
         w = single_event_window(50.0, 60.0, 0.0)
-        pos = warp_window(w, AngularVelocity2(2.0, 0.7), INTR)
+        om = AngularVelocity2(2.0, 0.7)
+        pos = warp_positions(w.events, om.as_3dof().as_array(), w.t_ref,
+                             INTR)
         np.testing.assert_allclose(pos, [[50.0, 60.0]])
 
     def test_hand_computed_displacement(self):
@@ -112,7 +115,8 @@ class TestWarpWindow:
         # flow u = -fx*wy = -60 px/s, warp displacement = -u*dt = +3 px
         w = single_event_window(INTR.cx, INTR.cy, 0.05)
         om = AngularVelocity2.from_cartesian(0.0, 0.2)
-        pos = warp_window(w, om, INTR)
+        pos = warp_positions(w.events, om.as_3dof().as_array(), w.t_ref,
+                             INTR)
         np.testing.assert_allclose(pos, [[INTR.cx + 3.0, INTR.cy]],
                                    atol=1e-12)
 
@@ -153,14 +157,15 @@ class TestDerotate:
         assert out is w
         assert not out.derotated
 
-    def test_constant_imu_matches_warp_window(self):
+    def test_constant_imu_matches_warp_positions(self):
         rng = np.random.default_rng(11)
         w = self.window(rng)
         om = AngularVelocity2.from_cartesian(0.0, 0.2)
         imu = ImuTrace(np.linspace(0, 0.05, 11),
                        np.tile([om.wx, om.wy, 0.0], (11, 1)))
         out = derotate(w, imu, INTR)
-        expected = warp_window(w, om, INTR)
+        expected = warp_positions(w.events, om.as_3dof().as_array(),
+                                  w.t_ref, INTR)
         np.testing.assert_allclose(out.events.positions(), expected,
                                    atol=1e-9)
 
