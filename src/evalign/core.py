@@ -186,27 +186,29 @@ class RegionMask:
 
 
 def slice_windows(stream: Events, dt: float) -> list[EventWindow]:
-    """Partition a sorted stream into consecutive windows of width dt.
+    """Partition a sorted stream into windows [k*dt, (k+1)*dt).
 
-    Every event lands in exactly one window; the window count is
-    ceil(span / dt) (with a tiny tolerance so exact multiples don't spill
-    into an empty extra window). t_ref of each window is its t_start.
+    The windows sit on the same k*dt lattice as the synthetic ground truth
+    (t_start = k * dt, bit for bit), from the window holding the first
+    event to the one holding the last. Every event lands in exactly one
+    window. The last window is closed, with a tiny tolerance, so a last
+    event at an exact multiple of dt opens no empty extra window. t_ref of
+    each window is its t_start.
     """
     if dt <= 0:
         raise ValidationError("dt must be positive")
     stream.validate()
     if len(stream) == 0:
         return []
-    t0 = float(stream.t[0])
-    span = float(stream.t[-1]) - t0
-    n = max(1, math.ceil(span / dt - 1e-9))
-    idx = np.minimum(np.floor((stream.t - t0) / dt).astype(np.intp), n - 1)
-    bounds = np.searchsorted(idx, np.arange(n + 1))
+    k0 = math.floor(stream.t[0] / dt)
+    k1 = max(k0, math.ceil(stream.t[-1] / dt - 1e-9) - 1)
+    idx = np.minimum(np.floor(stream.t / dt).astype(np.intp), k1)
+    bounds = np.searchsorted(idx, np.arange(k0, k1 + 2))
     windows = []
-    for k in range(n):
-        ev = stream.select(slice(bounds[k], bounds[k + 1]))
-        t_start = t0 + k * dt
-        windows.append(EventWindow(ev, t_start, t_start + dt, t_ref=t_start))
+    for i, k in enumerate(range(k0, k1 + 1)):
+        ev = stream.select(slice(bounds[i], bounds[i + 1]))
+        t_start = k * dt
+        windows.append(EventWindow(ev, t_start, (k + 1) * dt, t_ref=t_start))
     return windows
 
 

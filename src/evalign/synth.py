@@ -429,8 +429,7 @@ def _edge_events(pa_w, pb_w, pose, intr, duration, knots):
             np.concatenate(et_all), np.concatenate(ep_all))
 
 
-def _rasterize_windows(scene, pose, intr, dt, duration):
-    n_win = max(1, int(math.floor(duration / dt + 1e-9)))
+def _rasterize_windows(scene, pose, intr, dt, n_win):
     windows = []
     ys, xs = np.mgrid[0:intr.height, 0:intr.width]
     for k in range(n_win):
@@ -463,6 +462,8 @@ def generate(scene: SceneSpec, motion: MotionSpec, intr: CameraIntrinsics,
     event's exact window-start position for warp oracles)."""
     pose = _Pose(motion)
     duration = motion.duration
+    # windows [k*dt, (k+1)*dt), the last closed: core.slice_windows's rule
+    n_win = max(1, math.ceil(duration / dt - 1e-9))
     rng = np.random.default_rng(seed)
 
     knots = motion.knot_times
@@ -520,7 +521,6 @@ def generate(scene: SceneSpec, motion: MotionSpec, intr: CameraIntrinsics,
     # exact window-start position of each edge event's world point
     ref_xy = np.full((len(events), 2), np.nan)
     if len(events):
-        n_win = max(1, int(math.floor(duration / dt + 1e-9)))
         win_idx = np.minimum((t / dt).astype(np.intp), n_win - 1)
         is_edge = reg > 0
         for k in np.unique(win_idx[is_edge]):
@@ -534,7 +534,7 @@ def generate(scene: SceneSpec, motion: MotionSpec, intr: CameraIntrinsics,
 
     imu_t = np.arange(0.0, duration + 0.5 / IMU_RATE, 1.0 / IMU_RATE)
     imu = ImuTrace(imu_t, motion.omega_at(imu_t))
-    windows = tuple(_rasterize_windows(scene, pose, intr, dt, duration))
+    windows = tuple(_rasterize_windows(scene, pose, intr, dt, n_win))
     return SynthResult(events=events, imu=imu, windows=windows,
                        event_region=reg, ref_xy=ref_xy, intr=intr)
 

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from evalign import (CameraIntrinsics, Events, slice_windows,
                      slice_windows_count)
@@ -44,20 +45,29 @@ class TestSliceWindows:
         for w in windows:
             assert w.t_ref == w.t_start
 
-    def test_partition_exactly_once(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            ts = np.sort(rng.uniform(0.0, rng.uniform(0.1, 2.0),
-                                     rng.integers(1, 400)))
-            dt = rng.uniform(0.01, 0.3)
-            windows = slice_windows(make_stream(ts), dt)
-            total = sum(len(w) for w in windows)
-            assert total == ts.size
-            span = ts[-1] - ts[0]
-            assert len(windows) == max(1, math.ceil(span / dt - 1e-9))
-            for w in windows:
-                assert np.all(w.events.t >= w.t_start - 1e-12)
-                assert np.all(w.events.t <= w.t_end + 1e-12)
+    @settings(max_examples=200, deadline=None)
+    @given(offset=st.floats(0.0, 1e3), dt=st.floats(0.01, 0.3),
+           rel=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=300),
+           end_on_lattice=st.booleans())
+    def test_partition_on_the_dt_lattice(self, offset, dt, rel,
+                                         end_on_lattice):
+        ts = np.sort(offset + np.asarray(rel))
+        if end_on_lattice:
+            ts = np.append(ts, math.ceil(ts[-1] / dt) * dt)
+        windows = slice_windows(make_stream(ts), dt)
+        # every event exactly once, in order
+        assert np.array_equal(
+            np.concatenate([w.events.t for w in windows]), ts)
+        k0 = math.floor(ts[0] / dt)
+        assert len(windows) == max(1, math.ceil(ts[-1] / dt - 1e-9) - k0)
+        for k, w in enumerate(windows, start=k0):
+            assert w.t_start == k * dt
+            assert w.t_end == (k + 1) * dt
+        assert all(a.t_end == b.t_start for a, b in zip(windows, windows[1:]))
+        assert len(windows[0]) and len(windows[-1])
+        if end_on_lattice and k0 * dt < ts[-1]:
+            # a last event on a boundary closes the window below it
+            assert windows[-1].t_end == ts[-1]
 
     def test_fixed_count_chunks(self):
         ts = np.linspace(0.0, 1.0, 95)

@@ -14,6 +14,7 @@ from evalign import (
     SceneSpec,
     analytic_compensation,
     generate,
+    slice_windows,
 )
 from evalign.errors import ValidationError
 from evalign.synth import _backproject, _edge_events, _Pose, polygon_centroid
@@ -168,6 +169,15 @@ class TestGenerate:
             assert gw.t_start == pytest.approx(k * 0.05)
             assert gw.depths[1] == pytest.approx(1.0 - 0.1 * gw.t_start)
             assert gw.mask.size(1) > 0
+
+    @pytest.mark.parametrize("duration", [0.22, 0.3, 1.0])
+    def test_every_window_has_ground_truth(self, small_intr, duration):
+        res = generate(plain_scene(), MotionSpec(v=[0.1, 0.05, 0],
+                                                 duration=duration),
+                       small_intr, seed=12)
+        windows = slice_windows(res.events, 0.05)
+        assert [w.t_start for w in windows] == \
+            [gw.t_start for gw in res.windows]
 
     def test_ref_xy_matches_window_start_positions(self, small_intr):
         """Each edge event's recorded reference position must equal the
