@@ -213,9 +213,10 @@ def align_window_3dof(w: EventWindow, intr: CameraIntrinsics,
     def solve_2dof(wz: float):
         if wz in cache:
             return cache[wz]
-        pos = warp_positions(w.events, np.array([0.0, 0.0, wz]), w.t_ref, intr)
+        pos = warp_positions(w.events, np.array([0.0, 0.0, wz]), w.t_start,
+                             intr)
         ev = Events(pos[:, 0], pos[:, 1], w.events.t, w.events.p)
-        wd = EventWindow(ev, w.t_start, w.t_end, w.t_ref, derotated=w.derotated)
+        wd = EventWindow(ev, w.t_start, w.t_end, derotated=w.derotated)
         phi = estimate_direction(wd, grid, params, intr,
                                  phi_samples=phi_samples,
                                  min_events=min_events)

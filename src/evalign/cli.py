@@ -1,8 +1,10 @@
 """Command-line surface: synth / depth / angvel subcommands.
 
-All outputs are CSV with a reproducibility header (config echo, seed,
-version) as '#' comment lines. Exit codes: 0 success, 2 input error,
-3 no usable result.
+depth and angvel are deterministic and cut windows [k*dt, (k+1)*dt) on
+synth's ground-truth lattice (angvel --fixed-count cuts by event count).
+All outputs are CSV with a reproducibility header (version, config echo)
+as '#' comment lines. Exit codes: 0 success, 2 input error, 3 no usable
+result.
 """
 
 from __future__ import annotations
@@ -69,7 +71,6 @@ def _config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--hot-thresh", type=float, default=d.hot_threshold,
                         help="hot-pixel rate threshold (events/s; off by "
                              "default)")
-    parser.add_argument("--seed", type=int, default=d.seed)
     parser.add_argument("--intrinsics", default=None,
                         help="fx,fy,cx,cy (default: fx=fy=1.2*max(w,h), "
                              "principal point at the sensor center)")
@@ -81,7 +82,7 @@ def _build_config(args) -> RunConfig:
     return RunConfig(dt=args.dt, sigma_proc=args.sigma_proc, nb_r=args.nb_r,
                      nb_q=nb_q, m_max=m_max, grid_n=args.grid_n,
                      phi_samples=args.phi_samples, min_events=args.min_events,
-                     hot_threshold=args.hot_thresh, seed=args.seed)
+                     hot_threshold=args.hot_thresh)
 
 
 def _intrinsics(args, width: int, height: int) -> CameraIntrinsics:
@@ -105,7 +106,6 @@ def _header_lines(args, cfg: RunConfig) -> list[str]:
     return [
         f"# evalign {__version__} {args.command}",
         f"# config: {echo}",
-        f"# seed: {cfg.seed}",
     ]
 
 
@@ -193,7 +193,7 @@ def _mask_provider_from_arg(mask_arg, width, height):
         radius = float(spec[2:])
         mask = honeycomb_mask(width, height, radius)
 
-        def provider(_k, _t):
+        def provider(_t):
             return mask
 
         return provider, mask
@@ -202,7 +202,7 @@ def _mask_provider_from_arg(mask_arg, width, height):
         raise EvalignError("mask dimensions do not match event dimensions")
     times = np.array([t for t, _ in masks])
 
-    def provider(_k, t_start):
+    def provider(t_start):
         return masks[int(np.argmin(np.abs(times - t_start)))][1]
 
     return provider, None
@@ -303,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--motion", required=True, help="motion JSON file")
     p_synth.add_argument("--out", required=True, help="output directory")
     p_synth.add_argument("--seed", type=int, default=0)
-    p_synth.add_argument("--dt", type=float, default=0.05)
+    p_synth.add_argument("--dt", type=float, default=RunConfig().dt)
     p_synth.set_defaults(func=cmd_synth)
 
     p_depth = sub.add_parser("depth", help="relative distance pipeline")

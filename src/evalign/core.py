@@ -10,7 +10,7 @@ Image-shaped arrays (count images, label grids) use numpy's [row, col] =
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -51,23 +51,14 @@ class Events:
     def __len__(self):
         return self.x.size
 
-    def validate(self, width: int | None = None, height: int | None = None) -> "Events":
-        """Check stream invariants; returns self so calls can be chained."""
-        if len(self) == 0:
-            return self
+    def validate(self) -> None:
+        """Check stream invariants: non-negative, sorted times; +-1 polarity."""
         if np.any(self.t < 0):
             raise ValidationError("timestamps must be >= 0")
         if np.any(np.diff(self.t) < 0):
             raise ValidationError("event stream not sorted by timestamp")
         if not np.all(np.abs(self.p) == 1):
             raise ValidationError("polarity must be -1 or 1")
-        if width is not None:
-            if np.any(self.x < 0) or np.any(self.x > width - 1):
-                raise ValidationError("x coordinate outside sensor bounds")
-        if height is not None:
-            if np.any(self.y < 0) or np.any(self.y > height - 1):
-                raise ValidationError("y coordinate outside sensor bounds")
-        return self
 
     def select(self, idx) -> "Events":
         return Events(self.x[idx], self.y[idx], self.t[idx], self.p[idx])
@@ -101,24 +92,21 @@ class CameraIntrinsics:
 
 @dataclass(frozen=True)
 class EventWindow:
-    """All events in one time slice, with the reference time used for warping.
+    """All events in one time slice.
 
-    Events are warped back to t_ref (= t_start for fixed-dt slicing), so a
-    correctly compensating rotation maps every event to its t_start position.
-    The last window of a stream is closed at t_end; all others are half-open.
+    Events are warped back to t_start, so a correctly compensating rotation
+    maps every event to its t_start position. The last window of a stream
+    is closed at t_end; all others are half-open.
     """
 
     events: Events
     t_start: float
     t_end: float
-    t_ref: float
-    derotated: bool = False
+    derotated: bool = field(default=False, kw_only=True)
 
     def __post_init__(self):
         if self.t_end < self.t_start:
             raise ValidationError("t_end must be >= t_start")
-        if not (self.t_start <= self.t_ref <= self.t_end):
-            raise ValidationError("t_ref must lie within [t_start, t_end]")
         ev = self.events
         # one-ulp slop: boundaries are computed in floating point
         eps = 1e-9 * max(1.0, abs(self.t_end))
@@ -186,14 +174,12 @@ class RegionMask:
 
 
 def slice_windows(stream: Events, dt: float) -> list[EventWindow]:
-    """Partition a sorted stream into windows [k*dt, (k+1)*dt).
+    """Partition a sorted stream into windows [k*dt, (k+1)*dt), from the
+    one holding the first event to the one holding the last.
 
-    The windows sit on the same k*dt lattice as the synthetic ground truth
-    (t_start = k * dt, bit for bit), from the window holding the first
-    event to the one holding the last. Every event lands in exactly one
-    window. The last window is closed, with a tiny tolerance, so a last
-    event at an exact multiple of dt opens no empty extra window. t_ref of
-    each window is its t_start.
+    t_start = k * dt is computed as synth computes its ground-truth window
+    starts, so the two match bit for bit. The last window is closed (with a
+    tiny tolerance): a last event on a multiple of dt opens no extra window.
     """
     if dt <= 0:
         raise ValidationError("dt must be positive")
@@ -208,7 +194,7 @@ def slice_windows(stream: Events, dt: float) -> list[EventWindow]:
     for i, k in enumerate(range(k0, k1 + 1)):
         ev = stream.select(slice(bounds[i], bounds[i + 1]))
         t_start = k * dt
-        windows.append(EventWindow(ev, t_start, (k + 1) * dt, t_ref=t_start))
+        windows.append(EventWindow(ev, t_start, (k + 1) * dt))
     return windows
 
 
@@ -216,7 +202,7 @@ def slice_windows_count(stream: Events, n_events: int) -> list[EventWindow]:
     """Fixed-count slicing: consecutive chunks of n_events events.
 
     Window spans vary with event rate; t_start/t_end are the first/last
-    event times of the chunk and t_ref = t_start. The comparison partner of
+    event times of the chunk. The comparison partner of
     fixed-dt slicing in the windowing ablation.
     """
     if n_events <= 0:
@@ -228,7 +214,7 @@ def slice_windows_count(stream: Events, n_events: int) -> list[EventWindow]:
         if len(ev) == 0:
             break
         t_start, t_end = float(ev.t[0]), float(ev.t[-1])
-        windows.append(EventWindow(ev, t_start, t_end, t_ref=t_start))
+        windows.append(EventWindow(ev, t_start, t_end))
     return windows
 
 

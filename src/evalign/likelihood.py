@@ -115,8 +115,8 @@ class MagnitudeGrid:
     n: int = DEFAULT_GRID_N
 
     def __post_init__(self):
-        if not (self.m_max > 0):
-            raise ValidationError("m_max must be positive")
+        if not (math.isfinite(self.m_max) and self.m_max > 0):
+            raise ValidationError("m_max must be positive and finite")
         if self.n < 2:
             raise ValidationError("grid needs at least 2 points")
 
@@ -216,7 +216,7 @@ class WindowObjective:
         sub = ev.select(member)
         self.n_events_in_region = len(sub)
         self.base = sub.positions()
-        self.dt = (sub.t - w.t_ref)[:, None]
+        self.dt = (sub.t - w.t_start)[:, None]
         self.jac = flow_basis(sub.x, sub.y, intr)[:, :, :2]  # pan/tilt columns
         if params is None:
             params = NBParams()

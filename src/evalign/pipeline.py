@@ -43,7 +43,6 @@ class RunConfig:
     phi_samples: int = DEFAULT_PHI_SAMPLES
     min_events: int = DEFAULT_MIN_EVENTS
     hot_threshold: float | None = None  # None = hot-pixel filter off
-    seed: int = 0
 
     def __post_init__(self):
         if not (math.isfinite(self.dt) and self.dt > 0):
@@ -52,6 +51,11 @@ class RunConfig:
             raise ValidationError("sigma_proc must be non-negative and finite")
         if self.phi_samples < 1:
             raise ValidationError("phi_samples must be at least 1")
+        if self.min_events < 0:
+            raise ValidationError("min_events must be non-negative")
+        hot = self.hot_threshold
+        if hot is not None and not (math.isfinite(hot) and hot >= 0):
+            raise ValidationError("hot_threshold must be finite and >= 0")
 
     def nb_params(self) -> NBParams:
         return NBParams(self.nb_r, self.nb_q)
@@ -61,7 +65,7 @@ def run_depth(events: Events, intr: CameraIntrinsics, cfg: RunConfig,
               mask_provider, imu: ImuTrace | None = None) -> list[DepthRow]:
     """Window loop of the distance pipeline.
 
-    mask_provider maps (window_index, t_start) -> RegionMask. Windows whose
+    mask_provider maps a window's t_start to its RegionMask. Windows whose
     alignment fails entirely produce coasting rows (prediction only) for
     every tracked region.
     """
@@ -69,8 +73,8 @@ def run_depth(events: Events, intr: CameraIntrinsics, cfg: RunConfig,
     tracks = {}
     rows = []
     params = cfg.nb_params()
-    for k, w in enumerate(windows):
-        mask = mask_provider(k, w.t_start)
+    for w in windows:
+        mask = mask_provider(w.t_start)
         try:
             result = align_window(
                 w, mask, imu, params, intr,

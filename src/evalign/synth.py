@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.transform import Rotation
 
-from .core import CameraIntrinsics, Events, EventWindow, RegionMask
+from .core import CameraIntrinsics, Events, RegionMask
 from .errors import ValidationError
 from .warp import AngularVelocity2, ImuTrace
 
@@ -181,31 +181,6 @@ class SynthResult:
     windows: tuple[GtWindow, ...]
     event_region: np.ndarray  # plane label per event, 0 for noise/hot pixels
     ref_xy: np.ndarray        # (n, 2) exact window-start position; NaN for noise
-    intr: CameraIntrinsics
-
-    def event_windows(self) -> list[EventWindow]:
-        """Event windows cut exactly at the ground-truth boundaries k*dt.
-
-        slice_windows anchors at the first event instead; for oracle
-        comparisons against ref_xy and the per-window ground truth the
-        exact boundaries matter.
-        """
-        out = []
-        t = self.events.t
-        n_win = len(self.windows)
-        dt = (self.windows[1].t_start - self.windows[0].t_start
-              if n_win > 1 else (float(t[-1]) + 1e-9 if len(t) else 1.0))
-        for k, gw in enumerate(self.windows):
-            t_end = gw.t_start + dt
-            if k == n_win - 1:
-                sel = t >= gw.t_start
-                if len(t):
-                    t_end = max(t_end, float(t[-1]))
-            else:
-                sel = (t >= gw.t_start) & (t < t_end)
-            out.append(EventWindow(self.events.select(sel), gw.t_start,
-                                   t_end, gw.t_start))
-        return out
 
 
 class _Pose:
@@ -460,6 +435,8 @@ def generate(scene: SceneSpec, motion: MotionSpec, intr: CameraIntrinsics,
     """Render a scene under camera motion into an event stream plus ground
     truth (per-window region masks, per-region depths, IMU trace, and each
     event's exact window-start position for warp oracles)."""
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValidationError("dt must be positive and finite")
     pose = _Pose(motion)
     duration = motion.duration
     # windows [k*dt, (k+1)*dt), the last closed: core.slice_windows's rule
@@ -536,7 +513,7 @@ def generate(scene: SceneSpec, motion: MotionSpec, intr: CameraIntrinsics,
     imu = ImuTrace(imu_t, motion.omega_at(imu_t))
     windows = tuple(_rasterize_windows(scene, pose, intr, dt, n_win))
     return SynthResult(events=events, imu=imu, windows=windows,
-                       event_region=reg, ref_xy=ref_xy, intr=intr)
+                       event_region=reg, ref_xy=ref_xy)
 
 
 def analytic_compensation(scene: SceneSpec, motion: MotionSpec,

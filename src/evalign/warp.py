@@ -174,7 +174,7 @@ def derotate(w: EventWindow, imu: ImuTrace | None,
     """Remove the IMU-measured rotational motion from a window's events.
 
     Each event is displaced by -J(px) @ Theta where Theta is the
-    zero-order-hold integral of the IMU angular velocity from t_ref to the
+    zero-order-hold integral of the IMU angular velocity from t_start to the
     event time (the flow is linear in omega, so integrating the rate and
     applying the flow once are equivalent at first order).
 
@@ -196,10 +196,10 @@ def derotate(w: EventWindow, imu: ImuTrace | None,
         raise ImuGapError("IMU gap larger than the window span")
     ev = w.events
     if len(ev) == 0:
-        return EventWindow(ev, w.t_start, w.t_end, w.t_ref, derotated=True)
-    theta = imu.integrate(w.t_ref, ev.t)  # (n, 3) integrated rotation
+        return EventWindow(ev, w.t_start, w.t_end, derotated=True)
+    theta = imu.integrate(w.t_start, ev.t)  # (n, 3) integrated rotation
     J = flow_basis(ev.x, ev.y, intr)
     disp = np.einsum("nij,nj->ni", J, theta)
     pos = ev.positions() - disp
     out = Events(pos[:, 0], pos[:, 1], ev.t, ev.p)
-    return EventWindow(out, w.t_start, w.t_end, w.t_ref, derotated=True)
+    return EventWindow(out, w.t_start, w.t_end, derotated=True)

@@ -20,6 +20,7 @@ from evalign import (
     estimate_direction,
     estimate_magnitude,
     generate,
+    slice_windows,
 )
 from evalign.errors import InsufficientEventsError
 from evalign.likelihood import WindowObjective
@@ -47,29 +48,29 @@ def symmetric_two_plane(intr):
 
 class TestEstimateDirection:
     def test_pure_x_translation(self, intr, two_plane_run):
-        scene, motion, res, _ = two_plane_run
-        w = res.event_windows()[0]
+        scene, motion, _, windows = two_plane_run
+        w = windows[0]
         grid = MagnitudeGrid(m_max=1.5, n=50)
         phi = estimate_direction(w, grid, None, intr)
         phi_true = analytic_compensation(scene, motion, 1, intr).phi
         assert angdiff_deg(phi, phi_true) <= 3.0
 
     def test_deterministic(self, intr, two_plane_run):
-        _, _, res, _ = two_plane_run
-        w = res.event_windows()[0]
+        _, _, _, windows = two_plane_run
+        w = windows[0]
         grid = MagnitudeGrid(m_max=1.5, n=50)
         a = estimate_direction(w, grid, None, intr)
         b = estimate_direction(w, grid, None, intr)
         assert a == b  # bitwise
 
     def test_mirrored_stream_reflects_direction(self, intr, two_plane_run):
-        _, _, res, _ = two_plane_run
-        w = res.event_windows()[0]
+        _, _, _, windows = two_plane_run
+        w = windows[0]
         grid = MagnitudeGrid(m_max=1.5, n=50)
         phi = estimate_direction(w, grid, None, intr)
         ev = w.events
         mirrored = Events(intr.width - 1 - ev.x, ev.y, ev.t, ev.p)
-        wm = EventWindow(mirrored, w.t_start, w.t_end, w.t_ref)
+        wm = EventWindow(mirrored, w.t_start, w.t_end)
         phi_m = estimate_direction(wm, grid, None, intr)
         assert angdiff_deg(phi_m, math.pi - phi) <= 3.0
 
@@ -78,8 +79,8 @@ class TestEstimateDirection:
                                         serial_scan, phi_samples):
         # on 2 CPUs the coarse scans of 36 and 2 split at a direction
         # boundary, that of 1 inside its ray, like every refinement probe
-        _, _, res, _ = two_plane_run
-        w = res.event_windows()[3]
+        _, _, _, windows = two_plane_run
+        w = windows[3]
         grid = MagnitudeGrid.for_window(w, intr)
         pooled = estimate_direction(w, grid, None, intr,
                                     phi_samples=phi_samples)
@@ -90,7 +91,7 @@ class TestEstimateDirection:
     def test_insufficient_events(self, intr):
         ev = Events(np.array([5.0]), np.array([5.0]), np.array([0.01]),
                     np.array([1], dtype=np.int8))
-        w = EventWindow(ev, 0.0, 0.05, 0.0)
+        w = EventWindow(ev, 0.0, 0.05)
         with pytest.raises(InsufficientEventsError, match="insufficient"):
             estimate_direction(w, MagnitudeGrid(1.0, 10), None, intr)
 
@@ -98,7 +99,7 @@ class TestEstimateDirection:
 class TestEstimateMagnitude:
     def test_matches_analytic_flow(self, intr, symmetric_two_plane):
         scene, motion, res = symmetric_two_plane
-        w = res.event_windows()[0]
+        w = slice_windows(res.events, 0.05)[0]
         mask = res.windows[0].mask
         grid = MagnitudeGrid(m_max=1.5, n=50)
         phi_true = analytic_compensation(scene, motion, 1, intr).phi
@@ -112,7 +113,7 @@ class TestEstimateMagnitude:
         scene = SceneSpec(planes=(), noise_rate=0.06)
         res = generate(scene, MotionSpec(v=[0, 0, 0], duration=0.05), intr,
                        seed=3)
-        w = res.event_windows()[0]
+        w = slice_windows(res.events, 0.05)[0]
         assert len(w) >= 50
         grid = MagnitudeGrid(m_max=1.0, n=50)
         m, _ = estimate_magnitude(w, 1.0, None, grid, None, intr)
@@ -120,7 +121,7 @@ class TestEstimateMagnitude:
 
     def test_agrees_with_brute_force_grid(self, intr, symmetric_two_plane):
         scene, motion, res = symmetric_two_plane
-        w = res.event_windows()[0]
+        w = slice_windows(res.events, 0.05)[0]
         grid = MagnitudeGrid(m_max=1.5, n=50)
         phi_true = analytic_compensation(scene, motion, 1, intr).phi
         m, _ = estimate_magnitude(w, phi_true, None, grid, None, intr)
@@ -133,7 +134,7 @@ class TestEstimateMagnitude:
 
     def test_insufficient_region_events(self, intr, symmetric_two_plane):
         _, _, res = symmetric_two_plane
-        w = res.event_windows()[0]
+        w = slice_windows(res.events, 0.05)[0]
         region = np.zeros((intr.height, intr.width), dtype=bool)
         region[0:8, 0:8] = True  # corner without events
         with pytest.raises(InsufficientEventsError):
@@ -144,7 +145,7 @@ class TestEstimateMagnitude:
 class TestAlignWindow:
     def test_two_plane_magnitude_ratio(self, intr, symmetric_two_plane):
         scene, motion, res = symmetric_two_plane
-        w = res.event_windows()[0]
+        w = slice_windows(res.events, 0.05)[0]
         result = align_window(w, res.windows[0].mask, None, None, intr)
         m_near = result.per_region[1].m
         m_far = result.per_region[2].m
@@ -154,7 +155,7 @@ class TestAlignWindow:
         # every region's magnitude is the one found along the shared
         # direction, bit for bit
         _, _, res = symmetric_two_plane
-        w = res.event_windows()[0]
+        w = slice_windows(res.events, 0.05)[0]
         mask = res.windows[0].mask
         result = align_window(w, mask, None, None, intr)
         grid = MagnitudeGrid.for_window(w, intr)  # align_window's grid
@@ -165,8 +166,8 @@ class TestAlignWindow:
 
     def test_full_frame_region_matches_estimate_magnitude(self, intr,
                                                           two_plane_run):
-        _, _, res, _ = two_plane_run
-        w = res.event_windows()[0]
+        _, _, _, windows = two_plane_run
+        w = windows[0]
         mask = RegionMask(np.ones((intr.height, intr.width), dtype=np.int32))
         result = align_window(w, mask, None, None, intr, m_max=1.5)
         grid = MagnitudeGrid(m_max=1.5, n=50)
@@ -175,8 +176,8 @@ class TestAlignWindow:
         assert result.per_region[1].m == pytest.approx(m, abs=1e-12)
 
     def test_empty_region_isolated(self, intr, two_plane_run):
-        _, _, res, _ = two_plane_run
-        w = res.event_windows()[0]
+        _, _, res, windows = two_plane_run
+        w = windows[0]
         labels = res.windows[0].mask.labels.copy()
         labels[0:6, 0:6] = 3  # corner region without events
         result = align_window(w, RegionMask(labels), None, None, intr)
@@ -187,7 +188,7 @@ class TestAlignWindow:
 
     def test_local_maximum_dominance(self, intr, symmetric_two_plane):
         scene, motion, res = symmetric_two_plane
-        w = res.event_windows()[0]
+        w = slice_windows(res.events, 0.05)[0]
         mask = res.windows[0].mask
         result = align_window(w, mask, None, None, intr)
         phi = result.phi_global
@@ -204,7 +205,7 @@ class TestAlignWindow:
     def test_pooled_scan_matches_serial(self, intr, symmetric_two_plane,
                                         serial_scan):
         _, _, res = symmetric_two_plane
-        w = res.event_windows()[0]
+        w = slice_windows(res.events, 0.05)[0]
         mask = res.windows[0].mask
         pooled = align_window(w, mask, None, None, intr)
         serial_scan()

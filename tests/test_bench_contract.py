@@ -1,8 +1,9 @@
-"""The names that perfbench/tracing.py wraps from outside the package.
+"""What the benchmark in perfbench/ uses of the program.
 
 The benchmark's tracer replaces functions and methods by name, and its
-span counters read some arguments by position. A rename or a reordered
-signature must fail here rather than in a traced benchmark run.
+span counters read some arguments by position; its workloads call the CLI
+with fixed flags. A rename, a reordered signature or a deleted flag must
+fail here rather than in a benchmark run.
 """
 
 import importlib
@@ -22,11 +23,11 @@ BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SRC = Path(evalign.__file__).resolve().parents[1]
 
 
-@pytest.fixture(scope="module")
-def tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing",
-                                                  BENCH / "tracing.py")
+def _load_bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}",
+                                                  BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
     dont_write = sys.dont_write_bytecode
     sys.dont_write_bytecode = True  # leave no cache files in perfbench/
     try:
@@ -34,6 +35,11 @@ def tracing():
     finally:
         sys.dont_write_bytecode = dont_write
     return module
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    return _load_bench_module("tracing")
 
 
 def test_traced_functions_resolve(tracing):
@@ -70,3 +76,17 @@ def test_tracer_installs():
                           env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_workload_flags_parse():
+    from evalign.cli import _build_config, build_parser
+
+    parser = build_parser()
+    # the set-up call of run.py's write_inputs
+    parser.parse_args(["synth", "--scene", "s", "--motion", "m",
+                       "--out", "o", "--seed", "7"])
+    for wl in _load_bench_module("workloads").WORKLOADS.values():
+        # the timed call of run.py's timed_call
+        args = parser.parse_args([wl.command, "--events", "e", "--out", "o",
+                                  "--intrinsics", "1,1,0,0", *wl.cli_args])
+        _build_config(args)

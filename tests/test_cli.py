@@ -94,6 +94,17 @@ class TestSynthCommand:
         assert "overlap" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("dt", ["0", "nan", "-0.05"])
+    def test_bad_dt_exit_2(self, tmp_path, capsys, dt):
+        code = main(["synth", "--scene", str(write_scene(tmp_path / "s.json")),
+                     "--motion", str(write_motion(tmp_path / "m.json")),
+                     "--out", str(tmp_path / "out"), "--dt", dt])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "dt" in err
+        assert not (tmp_path / "out").exists()
+
+
 class TestDepthCommand:
     def test_basic_run(self, dataset, tmp_path):
         out = tmp_path / "run"
@@ -105,7 +116,7 @@ class TestDepthCommand:
         assert code == 0
         lines = (out / "depth.csv").read_text().splitlines()
         assert lines[0].startswith("# evalign")
-        assert any(l.startswith("# seed:") for l in lines)
+        assert any(l.startswith("# config:") for l in lines)
         header = next(l for l in lines if not l.startswith("#"))
         assert header.split(",") == ["t_start", "region_id", "phi", "m",
                                      "d_meas", "d_track", "var", "converged"]
@@ -217,6 +228,10 @@ class TestDepthCommand:
         (["--sigma-proc", "-1"], "sigma_proc"),
         (["--intrinsics", "200,200,inf,59.5"], "finite"),
         (["--intrinsics", "nan,200,95.5,59.5"], "finite"),
+        (["--m-max", "inf"], "m_max"),
+        (["--hot-thresh", "nan"], "hot_threshold"),
+        (["--hot-thresh", "-1"], "hot_threshold"),
+        (["--min-events", "-5"], "min_events"),
     ])
     def test_bad_config_exit_2(self, dataset, tmp_path, capsys, flags,
                                message):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from evalign import (CameraIntrinsics, Events, slice_windows,
+from evalign import (CameraIntrinsics, Events, EventWindow, slice_windows,
                      slice_windows_count)
 from evalign.core import _splat
 from evalign.errors import ValidationError
@@ -40,17 +40,11 @@ class TestSliceWindows:
         with pytest.raises(ValidationError):
             slice_windows(make_stream([0.2, 0.1]), dt=0.05)
 
-    def test_t_ref_is_window_start(self):
-        windows = slice_windows(make_stream([0.0, 0.07]), dt=0.05)
-        for w in windows:
-            assert w.t_ref == w.t_start
-
     @settings(max_examples=200, deadline=None)
     @given(offset=st.floats(0.0, 1e3), dt=st.floats(0.01, 0.3),
            rel=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=300),
            end_on_lattice=st.booleans())
-    def test_partition_on_the_dt_lattice(self, offset, dt, rel,
-                                         end_on_lattice):
+    def test_partition_exactly_once(self, offset, dt, rel, end_on_lattice):
         ts = np.sort(offset + np.asarray(rel))
         if end_on_lattice:
             ts = np.append(ts, math.ceil(ts[-1] / dt) * dt)
@@ -68,6 +62,12 @@ class TestSliceWindows:
         if end_on_lattice and k0 * dt < ts[-1]:
             # a last event on a boundary closes the window below it
             assert windows[-1].t_end == ts[-1]
+
+    def test_window_start_is_the_warp_reference(self):
+        # t_ref is gone; a stale fourth positional argument must not land
+        # in the derotated flag
+        with pytest.raises(TypeError):
+            EventWindow(make_stream([0.01]), 0.0, 0.05, 0.0)
 
     def test_fixed_count_chunks(self):
         ts = np.linspace(0.0, 1.0, 95)
@@ -192,9 +192,3 @@ class TestEventsValidation:
         arrays[field][1] = value
         with pytest.raises(ValidationError, match="finite"):
             Events(**arrays, p=np.array([1, 1], dtype=np.int8))
-
-    def test_bounds_checked(self):
-        ev = Events(np.array([40.0]), np.array([1.0]), np.array([0.1]),
-                    np.array([1], dtype=np.int8))
-        with pytest.raises(ValidationError):
-            ev.validate(width=32, height=32)

@@ -277,8 +277,8 @@ class TestEstimateWindowDepth:
     def test_two_plane_track_converges(self, intr, two_plane_run):
         """Depth ratio 2 with the far plane as reference: the near plane's
         tracked distance reaches 0.5 +/- 0.05 within 10 windows."""
-        _, _, res, _ = two_plane_run
-        windows = res.event_windows()[:10]
+        _, _, res, windows = two_plane_run
+        windows = windows[:10]
         tracks = {}
         for k, w in enumerate(windows):
             mask = res.windows[k].mask

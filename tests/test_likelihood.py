@@ -102,12 +102,12 @@ class TestNbLogPmf:
 def uniform_window(rng, n=200, t_end=0.05):
     ev = Events(rng.uniform(5, 185, n), rng.uniform(5, 115, n),
                 np.sort(rng.uniform(0, t_end, n)), np.ones(n, dtype=np.int8))
-    return EventWindow(ev, 0.0, t_end, 0.0)
+    return EventWindow(ev, 0.0, t_end)
 
 
 class TestWindowLogLikelihood:
     def test_zero_events_gives_region_times_logpmf0(self, intr):
-        w = EventWindow(Events(*np.empty((4, 0))), 0.0, 0.05, 0.0)
+        w = EventWindow(Events(*np.empty((4, 0))), 0.0, 0.05)
         region = np.zeros((intr.height, intr.width), dtype=bool)
         region[10:20, 10:30] = True
         params = NBParams(0.5, 0.8)
@@ -116,7 +116,7 @@ class TestWindowLogLikelihood:
         assert ll == pytest.approx(region.sum() * nb_log_pmf(0, params))
 
     def test_empty_region_rejected(self, intr):
-        w = EventWindow(Events(*np.empty((4, 0))), 0.0, 0.05, 0.0)
+        w = EventWindow(Events(*np.empty((4, 0))), 0.0, 0.05)
         region = np.zeros((intr.height, intr.width), dtype=bool)
         with pytest.raises(ValidationError):
             WindowObjective(w, intr, region, NBParams(0.5, 0.8))
@@ -134,7 +134,6 @@ class TestWindowLogLikelihood:
         object.__setattr__(w2, "events", shuffled)
         object.__setattr__(w2, "t_start", w.t_start)
         object.__setattr__(w2, "t_end", w.t_end)
-        object.__setattr__(w2, "t_ref", w.t_ref)
         object.__setattr__(w2, "derotated", False)
         om = AngularVelocity2(0.4, 1.0)
         params = NBParams(0.5, 0.9)
@@ -143,8 +142,8 @@ class TestWindowLogLikelihood:
         assert a == pytest.approx(b, abs=1e-9)
 
     def test_compensating_omega_beats_zero(self, intr, two_plane_run):
-        scene, motion, res, _ = two_plane_run
-        w = res.event_windows()[0]
+        scene, motion, res, windows = two_plane_run
+        w = windows[0]
         mask = res.windows[0].mask
         comp = analytic_compensation(scene, motion, 1, intr)
         obj = WindowObjective(w, intr, mask.bool_mask(1), None)
@@ -154,8 +153,8 @@ class TestWindowLogLikelihood:
 
     def test_moment_matched_params_fixed_across_omega(self, intr,
                                                       two_plane_run):
-        _, _, res, _ = two_plane_run
-        w = res.event_windows()[0]
+        _, _, _, windows = two_plane_run
+        w = windows[0]
         a = WindowObjective(w, intr, None, NBParams(0.25))
         b = WindowObjective(w, intr, None, NBParams(0.25))
         assert a.params == b.params
@@ -169,8 +168,8 @@ class TestWindowLogLikelihood:
         """Second differences along a fine omega ray stay bounded: no
 
         NaN/Inf and no isolated jumps far above the local scale."""
-        _, _, res, _ = two_plane_run
-        w = res.event_windows()[0]
+        _, _, _, windows = two_plane_run
+        w = windows[0]
         obj = WindowObjective(w, intr, None, None)
         ms = np.arange(0.3, 0.7, 1e-3)
         lls = obj.log_likelihood_ray(math.pi, ms)
@@ -199,8 +198,8 @@ def dense_ray(obj, phi, m_values, pad=200):
 
 class TestRayAgainstDenseReference:
     def test_chunked_ray_matches_full_canvas(self, intr, two_plane_run):
-        _, _, res, _ = two_plane_run
-        w = res.event_windows()[0]
+        _, _, res, windows = two_plane_run
+        w = windows[0]
         region = res.windows[0].mask.bool_mask(1)
         obj = WindowObjective(w, intr, region, None)
         # 20 rows (three 8-row chunks) with warped extents from none to
@@ -222,7 +221,7 @@ class TestMarginal:
     def test_constant_integrand(self, intr):
         # zero events: the inner likelihood is a constant L, so the
         # marginal is L + log(m_max) under trapezoid quadrature
-        w = EventWindow(Events(*np.empty((4, 0))), 0.0, 0.05, 0.0)
+        w = EventWindow(Events(*np.empty((4, 0))), 0.0, 0.05)
         params = NBParams(0.5, 0.8)
         grid = MagnitudeGrid(m_max=2.0, n=2)
         ll = marginal_from_objective(WindowObjective(w, intr, None, params),
@@ -231,8 +230,8 @@ class TestMarginal:
         assert ll == pytest.approx(const + math.log(2.0), abs=1e-9)
 
     def test_marginal_within_band(self, intr, two_plane_run):
-        _, _, res, _ = two_plane_run
-        w = res.event_windows()[0]
+        _, _, _, windows = two_plane_run
+        w = windows[0]
         grid = MagnitudeGrid(m_max=1.5, n=50)
         obj = WindowObjective(w, intr, None, None)
         for phi in (0.0, 1.0, math.pi):
@@ -242,8 +241,8 @@ class TestMarginal:
             assert inner.min() + width - 1e-9 <= marg <= inner.max() + width + 1e-9
 
     def test_direction_peak_near_truth(self, intr, two_plane_run):
-        scene, motion, res, _ = two_plane_run
-        w = res.event_windows()[0]
+        scene, motion, _, windows = two_plane_run
+        w = windows[0]
         grid = MagnitudeGrid(m_max=1.5, n=50)
         obj = WindowObjective(w, intr, None, None)
         phis = np.linspace(0, 2 * math.pi, 72, endpoint=False)
@@ -263,10 +262,10 @@ class TestMarginal:
         y = rng.uniform(15, 100, n)
         t = np.sort(rng.uniform(0, 0.05, n))
         ev = Events(x, y, t, np.ones(n, dtype=np.int8))
-        w = EventWindow(ev, 0.0, 0.05, 0.0)
+        w = EventWindow(ev, 0.0, 0.05)
         evr = Events(2 * intr.cx - x, 2 * intr.cy - y, t,
                      np.ones(n, dtype=np.int8))
-        wr = EventWindow(evr, 0.0, 0.05, 0.0)
+        wr = EventWindow(evr, 0.0, 0.05)
         grid = MagnitudeGrid(m_max=1.0, n=25)
         params = NBParams(0.25, 0.9)
         for phi in (0.2, 1.1, 4.0):
@@ -297,7 +296,7 @@ class TestMarginalsFromObjective:
                     rng.uniform(0, intr.height - 1, n),
                     np.sort(rng.uniform(0, 0.05, n)),
                     np.ones(n, dtype=np.int8))
-        return EventWindow(ev, 0.0, 0.05, 0.0)
+        return EventWindow(ev, 0.0, 0.05)
 
     @pytest.mark.parametrize("n", [2, 7, 8, 9, 50])
     def test_one_direction(self, intr, edge_window, n):
@@ -320,8 +319,8 @@ class TestMarginalsFromObjective:
                               self.loop(obj, phis, grid))
 
     def test_two_plane_window(self, intr, two_plane_run):
-        _, _, res, _ = two_plane_run
-        w = res.event_windows()[0]
+        _, _, _, windows = two_plane_run
+        w = windows[0]
         grid = MagnitudeGrid.for_window(w, intr)
         obj = WindowObjective(w, intr)
         phis = np.arange(36) * (2.0 * math.pi / 36)
@@ -334,10 +333,10 @@ class TestMarginalsFromObjective:
         # the window as align_window_3dof scores it for one wz candidate
         _, _, _, windows = rotation_run
         w = windows[1]
-        pos = warp_positions(w.events, np.array([0.0, 0.0, 0.2]), w.t_ref,
+        pos = warp_positions(w.events, np.array([0.0, 0.0, 0.2]), w.t_start,
                              intr)
         ev = Events(pos[:, 0], pos[:, 1], w.events.t, w.events.p)
-        wd = EventWindow(ev, w.t_start, w.t_end, w.t_ref)
+        wd = EventWindow(ev, w.t_start, w.t_end)
         grid = MagnitudeGrid.for_window(wd, intr)
         obj = WindowObjective(wd, intr)
         phis = np.arange(11) * (2.0 * math.pi / 11)
@@ -346,8 +345,8 @@ class TestMarginalsFromObjective:
 
     @pytest.mark.parametrize("n_phi", sorted({1, max(N_CPU - 1, 1)}))
     def test_fewer_directions_than_cpus(self, intr, two_plane_run, n_phi):
-        _, _, res, _ = two_plane_run
-        w = res.event_windows()[2]
+        _, _, _, windows = two_plane_run
+        w = windows[2]
         grid = MagnitudeGrid(m_max=1.5, n=20)
         obj = WindowObjective(w, intr)
         phis = np.linspace(0.3, 2.0, n_phi)
@@ -357,8 +356,8 @@ class TestMarginalsFromObjective:
     def test_worker_exception_reaches_caller(self, intr, two_plane_run):
         # a NaN direction fails inside the scorer; placed last, it lands
         # in the last part, which a worker scores when there is a pool
-        _, _, res, _ = two_plane_run
-        w = res.event_windows()[0]
+        _, _, _, windows = two_plane_run
+        w = windows[0]
         grid = MagnitudeGrid(m_max=1.5, n=20)
         obj = WindowObjective(w, intr)
         phis = np.append(np.linspace(0.0, 3.0, 7), np.nan)

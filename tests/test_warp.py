@@ -89,24 +89,24 @@ class TestPolarForm:
             assert angle == pytest.approx(phi % (2 * math.pi), abs=1e-9)
 
 
-def single_event_window(x, y, t, t_ref=0.0, t_end=0.1):
+def single_event_window(x, y, t, t_end=0.1):
     ev = Events(np.array([x]), np.array([y]), np.array([t]),
                 np.array([1], dtype=np.int8))
-    return EventWindow(ev, 0.0, t_end, t_ref)
+    return EventWindow(ev, 0.0, t_end)
 
 
 class TestWarpWindow:
     def test_zero_magnitude_is_identity(self):
         w = single_event_window(50.0, 60.0, 0.04)
         om = AngularVelocity2(0.0, 1.23)
-        pos = warp_positions(w.events, om.as_3dof().as_array(), w.t_ref,
+        pos = warp_positions(w.events, om.as_3dof().as_array(), w.t_start,
                              INTR)
         np.testing.assert_allclose(pos, [[50.0, 60.0]])
 
     def test_event_at_t_ref_unmoved(self):
         w = single_event_window(50.0, 60.0, 0.0)
         om = AngularVelocity2(2.0, 0.7)
-        pos = warp_positions(w.events, om.as_3dof().as_array(), w.t_ref,
+        pos = warp_positions(w.events, om.as_3dof().as_array(), w.t_start,
                              INTR)
         np.testing.assert_allclose(pos, [[50.0, 60.0]])
 
@@ -115,7 +115,7 @@ class TestWarpWindow:
         # flow u = -fx*wy = -60 px/s, warp displacement = -u*dt = +3 px
         w = single_event_window(INTR.cx, INTR.cy, 0.05)
         om = AngularVelocity2.from_cartesian(0.0, 0.2)
-        pos = warp_positions(w.events, om.as_3dof().as_array(), w.t_ref,
+        pos = warp_positions(w.events, om.as_3dof().as_array(), w.t_start,
                              INTR)
         np.testing.assert_allclose(pos, [[INTR.cx + 3.0, INTR.cy]],
                                    atol=1e-12)
@@ -139,7 +139,7 @@ class TestDerotate:
         ev = Events(rng.uniform(20, 220, n), rng.uniform(20, 220, n),
                     np.sort(rng.uniform(0, 0.05, n)),
                     np.ones(n, dtype=np.int8))
-        return EventWindow(ev, 0.0, 0.05, 0.0)
+        return EventWindow(ev, 0.0, 0.05)
 
     def test_zero_imu_is_identity(self):
         rng = np.random.default_rng(9)
@@ -165,7 +165,7 @@ class TestDerotate:
                        np.tile([om.wx, om.wy, 0.0], (11, 1)))
         out = derotate(w, imu, INTR)
         expected = warp_positions(w.events, om.as_3dof().as_array(),
-                                  w.t_ref, INTR)
+                                  w.t_start, INTR)
         np.testing.assert_allclose(out.events.positions(), expected,
                                    atol=1e-9)
 
@@ -187,8 +187,8 @@ class TestDerotate:
     def test_pure_rotation_scene_collapses(self, intr, rotation_run):
         """Derotating with the exact trace must re-align events onto their
         window-start positions to within the linearization error."""
-        _, _, res, _ = rotation_run
-        w = res.event_windows()[0]  # boundary-aligned with ref_xy frames
+        _, _, res, windows = rotation_run
+        w = windows[0]  # boundary-aligned with ref_xy frames
         out = derotate(w, res.imu, intr)
         n = len(w)
         ref = res.ref_xy[:n]
