@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from evalign import (CameraIntrinsics, Events, EventWindow, slice_windows,
                      slice_windows_count)
@@ -44,6 +44,8 @@ class TestSliceWindows:
     @given(offset=st.floats(0.0, 1e3), dt=st.floats(0.01, 0.3),
            rel=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=300),
            end_on_lattice=st.booleans())
+    # 3 * 0.1 / 0.1 rounds above 3: only the tolerance keeps it closed
+    @example(offset=0.0, dt=0.1, rel=[0.25], end_on_lattice=True)
     def test_partition_exactly_once(self, offset, dt, rel, end_on_lattice):
         ts = np.sort(offset + np.asarray(rel))
         if end_on_lattice:
@@ -63,8 +65,8 @@ class TestSliceWindows:
             # a last event on a boundary closes the window below it
             assert windows[-1].t_end == ts[-1]
 
-    def test_window_start_is_the_warp_reference(self):
-        # t_ref is gone; a stale fourth positional argument must not land
+    def test_derotated_is_keyword_only(self):
+        # a stale fourth positional argument (the old t_ref) must not land
         # in the derotated flag
         with pytest.raises(TypeError):
             EventWindow(make_stream([0.01]), 0.0, 0.05, 0.0)

@@ -278,9 +278,8 @@ class TestEstimateWindowDepth:
         """Depth ratio 2 with the far plane as reference: the near plane's
         tracked distance reaches 0.5 +/- 0.05 within 10 windows."""
         _, _, res, windows = two_plane_run
-        windows = windows[:10]
         tracks = {}
-        for k, w in enumerate(windows):
+        for k, w in enumerate(windows[:10]):
             mask = res.windows[k].mask
             result = align_window(w, mask, None, None, intr)
             estimate_window_depth(result, mask, intr, tracks, 0.1,
