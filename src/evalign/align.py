@@ -24,7 +24,6 @@ from .errors import InsufficientEventsError
 from .likelihood import (
     DEFAULT_GRID_N,
     MagnitudeGrid,
-    NBParams,
     WindowObjective,
     marginals_from_objective,
 )
@@ -85,7 +84,7 @@ def _golden_max(f, lo: float, hi: float, tol: float, max_evals: int):
 
 
 def estimate_direction(w: EventWindow, grid: MagnitudeGrid,
-                       params: NBParams | None, intr: CameraIntrinsics,
+                       intr: CameraIntrinsics,
                        phi_samples: int = DEFAULT_PHI_SAMPLES,
                        min_events: int = DEFAULT_MIN_EVENTS) -> float:
     """Global flow direction by maximizing the magnitude-marginal likelihood.
@@ -102,7 +101,7 @@ def estimate_direction(w: EventWindow, grid: MagnitudeGrid,
     if len(w) < min_events:
         raise InsufficientEventsError(
             f"insufficient events: {len(w)} < {min_events}")
-    obj = WindowObjective(w, intr, region=None, params=params)
+    obj = WindowObjective(w, intr)
     phis = np.arange(phi_samples) * (2.0 * math.pi / phi_samples)
     coarse = marginals_from_objective(obj, phis, grid)
     best = int(np.argmax(coarse))  # first occurrence = smaller angle on ties
@@ -115,16 +114,15 @@ def estimate_direction(w: EventWindow, grid: MagnitudeGrid,
 
 
 def estimate_magnitude(w: EventWindow, phi: float, region: np.ndarray | None,
-                       grid: MagnitudeGrid, params: NBParams | None,
-                       intr: CameraIntrinsics,
+                       grid: MagnitudeGrid, intr: CameraIntrinsics,
                        min_events: int = DEFAULT_MIN_EVENTS):
     """Rotation magnitude for one region along a fixed direction.
 
     Coarse scan over the magnitude grid, then golden-section refinement in
-    the bracketing interval (tolerance m_max/5000, at most
+    the bracketing interval (tolerance grid.m_max/5000, at most
     MAX_REFINE_EVALS evaluations). Returns (m, log_likelihood).
     """
-    obj = WindowObjective(w, intr, region=region, params=params)
+    obj = WindowObjective(w, intr, region=region)
     if obj.n_events_in_region < min_events:
         raise InsufficientEventsError(
             f"insufficient events in region: "
@@ -143,16 +141,15 @@ def estimate_magnitude(w: EventWindow, phi: float, region: np.ndarray | None,
 
 
 def align_window(w: EventWindow, mask: RegionMask, imu: ImuTrace | None,
-                 params: NBParams | None, intr: CameraIntrinsics,
+                 intr: CameraIntrinsics,
                  phi_samples: int = DEFAULT_PHI_SAMPLES,
                  min_events: int = DEFAULT_MIN_EVENTS,
-                 grid_n: int = DEFAULT_GRID_N,
-                 m_max: float | None = None) -> AlignmentResult:
+                 grid_n: int = DEFAULT_GRID_N) -> AlignmentResult:
     """Object-wise alignment of one window.
 
     Derotates when an IMU trace is given, estimates the shared direction on
     the full frame, then the magnitude per mask region, both over grid_n
-    magnitudes up to m_max (None: the auto bound). Regions that fail (too
+    magnitudes up to the window's auto_m_max bound. Regions that fail (too
     few events) become unconverged entries; they never abort the window.
     Every region present in the mask gets an entry. Regions are solved one
     after another in this process; the parallel part is the direction
@@ -162,8 +159,8 @@ def align_window(w: EventWindow, mask: RegionMask, imu: ImuTrace | None,
     if (mask.height, mask.width) != (intr.height, intr.width):
         raise ValueError("mask dimensions do not match sensor dimensions")
     w = derotate(w, imu, intr)
-    grid = MagnitudeGrid.for_window(w, intr, n=grid_n, m_max=m_max)
-    phi = estimate_direction(w, grid, params, intr,
+    grid = MagnitudeGrid.for_window(w, intr, n=grid_n)
+    phi = estimate_direction(w, grid, intr,
                              phi_samples=phi_samples, min_events=min_events)
     ev = w.events
     labels_at_events = mask.label_at(ev.x, ev.y)
@@ -177,7 +174,7 @@ def align_window(w: EventWindow, mask: RegionMask, imu: ImuTrace | None,
                         float(ev.y[in_region].mean()))
         try:
             m, _ = estimate_magnitude(w, phi, mask.bool_mask(rid), grid,
-                                      params, intr, min_events=min_events)
+                                      intr, min_events=min_events)
         except InsufficientEventsError:
             return RegionEstimate(m=0.0, n_events=n_ev, converged=False,
                                   centroid=centroid)
@@ -190,15 +187,14 @@ def align_window(w: EventWindow, mask: RegionMask, imu: ImuTrace | None,
 
 
 def align_window_3dof(w: EventWindow, intr: CameraIntrinsics,
-                      params: NBParams | None = None,
                       phi_samples: int = DEFAULT_PHI_SAMPLES,
                       min_events: int = DEFAULT_MIN_EVENTS,
                       grid_n: int = DEFAULT_GRID_N,
-                      m_max: float | None = None,
                       wz_samples: int = 11) -> AngularVelocity3:
     """Full-frame 3-DOF rotation estimate for rotation-dominant data.
 
-    Extends the 2-DOF search with a nested wz scan over [-m_max, m_max]:
+    Extends the 2-DOF search with a nested wz scan over [-m_max, m_max],
+    m_max being the window's auto_m_max bound, as in its magnitude grid:
     each wz candidate is removed from the window by warping, the 2-DOF
     machinery scores the remainder, and the best wz is refined by golden
     section. Uses the same likelihood throughout.
@@ -206,7 +202,7 @@ def align_window_3dof(w: EventWindow, intr: CameraIntrinsics,
     if len(w) < min_events:
         raise InsufficientEventsError(
             f"insufficient events: {len(w)} < {min_events}")
-    grid = MagnitudeGrid.for_window(w, intr, n=grid_n, m_max=m_max)
+    grid = MagnitudeGrid.for_window(w, intr, n=grid_n)
 
     cache: dict[float, tuple[float, float, float]] = {}
 
@@ -217,10 +213,10 @@ def align_window_3dof(w: EventWindow, intr: CameraIntrinsics,
                              intr)
         ev = Events(pos[:, 0], pos[:, 1], w.events.t, w.events.p)
         wd = EventWindow(ev, w.t_start, w.t_end, derotated=w.derotated)
-        phi = estimate_direction(wd, grid, params, intr,
+        phi = estimate_direction(wd, grid, intr,
                                  phi_samples=phi_samples,
                                  min_events=min_events)
-        m, ll = estimate_magnitude(wd, phi, None, grid, params, intr,
+        m, ll = estimate_magnitude(wd, phi, None, grid, intr,
                                    min_events=min_events)
         cache[wz] = (ll, phi, m)
         return cache[wz]

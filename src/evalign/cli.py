@@ -10,6 +10,7 @@ result.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -48,19 +49,10 @@ EXIT_NO_RESULT = 3
 
 
 def _config_flags(parser: argparse.ArgumentParser) -> None:
-    # 'auto' and an absent --hot-thresh mean the RunConfig default None
+    # an absent --hot-thresh means the RunConfig default None
     d = RunConfig()
     parser.add_argument("--dt", type=float, default=d.dt,
                         help="window length in seconds (default %(default)s)")
-    parser.add_argument("--sigma-proc", type=float, default=d.sigma_proc,
-                        help="Kalman process noise std (default %(default)s)")
-    parser.add_argument("--nb-r", type=float, default=d.nb_r,
-                        help="NB dispersion (default %(default)s)")
-    parser.add_argument("--nb-q", default="auto",
-                        help="NB success probability or 'auto' for "
-                             "per-window moment matching (default auto)")
-    parser.add_argument("--m-max", default="auto",
-                        help="magnitude search bound in rad/s or 'auto'")
     parser.add_argument("--grid-n", type=int, default=d.grid_n,
                         help="magnitude grid points (default %(default)s)")
     parser.add_argument("--phi-samples", type=int, default=d.phi_samples,
@@ -77,10 +69,7 @@ def _config_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_config(args) -> RunConfig:
-    nb_q = None if args.nb_q == "auto" else float(args.nb_q)
-    m_max = None if args.m_max == "auto" else float(args.m_max)
-    return RunConfig(dt=args.dt, sigma_proc=args.sigma_proc, nb_r=args.nb_r,
-                     nb_q=nb_q, m_max=m_max, grid_n=args.grid_n,
+    return RunConfig(dt=args.dt, grid_n=args.grid_n,
                      phi_samples=args.phi_samples, min_events=args.min_events,
                      hot_threshold=args.hot_thresh)
 
@@ -99,10 +88,8 @@ def _intrinsics(args, width: int, height: int) -> CameraIntrinsics:
 
 
 def _header_lines(args, cfg: RunConfig) -> list[str]:
-    echo = " ".join(
-        f"{k}={getattr(cfg, k)}" for k in (
-            "dt", "sigma_proc", "nb_r", "nb_q", "m_max", "grid_n",
-            "phi_samples", "min_events", "hot_threshold"))
+    echo = " ".join(f"{f.name}={getattr(cfg, f.name)}"
+                    for f in dataclasses.fields(cfg))
     return [
         f"# evalign {__version__} {args.command}",
         f"# config: {echo}",

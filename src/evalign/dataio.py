@@ -240,8 +240,8 @@ def honeycomb_mask(width: int, height: int, cell_radius: float) -> RegionMask:
     Every pixel is assigned to exactly one cell by cube rounding in axial
     hex coordinates; labels start at 1 in row-major order of cell centers.
     """
-    if cell_radius < 4:
-        raise ValidationError("cell radius must be >= 4 px")
+    if not (math.isfinite(cell_radius) and cell_radius >= 4):
+        raise ValidationError("cell radius must be finite and >= 4 px")
     ys, xs = np.mgrid[0:height, 0:width].astype(np.float64)
     r = float(cell_radius)
     # axial coordinates for pointy-top hexagons of circumradius r

@@ -22,6 +22,7 @@ from .warp import AngularVelocity2, FlowVector, rot_flow
 
 EPS_FLOW = 1e-3       # px/s; below this the pseudo-inverse is unusable
 REFERENCE_VAR = 1e-4  # variance floor that pins the reference track
+SIGMA_PROC = 0.1      # process noise std of every track's predict step
 
 
 @dataclass(frozen=True)
@@ -115,7 +116,6 @@ def region_flows(result: AlignmentResult, intr: CameraIntrinsics) -> dict[int, F
 def estimate_window_depth(result: AlignmentResult, mask: RegionMask,
                           intr: CameraIntrinsics,
                           tracks: dict[int, DistanceTrack],
-                          sigma_proc: float,
                           t: float = 0.0) -> list[DepthRow]:
     """One tracking step: flows, reference selection, measurement, filtering.
 
@@ -151,7 +151,7 @@ def estimate_window_depth(result: AlignmentResult, mask: RegionMask,
 
         track = tracks.get(rid)
         if track is not None:
-            track = track_predict(track, sigma_proc)
+            track = track_predict(track, SIGMA_PROC)
         applied = d_meas > 0  # False for nan
         if applied and track is None:
             mag = flows[rid].magnitude()
@@ -168,14 +168,13 @@ def estimate_window_depth(result: AlignmentResult, mask: RegionMask,
     return rows
 
 
-def coast_tracks(tracks: dict[int, DistanceTrack], sigma_proc: float,
-                 t: float) -> list[DepthRow]:
+def coast_tracks(tracks: dict[int, DistanceTrack], t: float) -> list[DepthRow]:
     """Rows of a window whose alignment failed: every track takes a predict
     step (in place) and is reported without a measurement."""
     nan = float("nan")
     rows = []
     for rid in sorted(tracks):
-        tracks[rid] = track = track_predict(tracks[rid], sigma_proc)
+        tracks[rid] = track = track_predict(tracks[rid], SIGMA_PROC)
         rows.append(DepthRow(t, rid, nan, nan, nan, track.d, track.var,
                              False, False))
     return rows

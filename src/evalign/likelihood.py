@@ -49,8 +49,10 @@ DEFAULT_NB_R = 0.25
 
 DEFAULT_GRID_N = 50
 
-# Auto magnitude-grid rule: m_max = MMAX_FACTOR * median displacement /
-# (f * dt), clamped to [MMAX_FLOOR, MMAX_CAP] rad/s.
+# Auto magnitude-grid rule (auto_m_max): m_max = MMAX_FACTOR * drift /
+# (f * span), where drift is the shift of the cross-correlation peak
+# between the window's two halves scaled to the full span, clamped to
+# [MMAX_FLOOR, MMAX_CAP] rad/s.
 MMAX_FACTOR = 4.0
 MMAX_FLOOR = 0.5
 MMAX_CAP = 10.0
@@ -79,8 +81,9 @@ class NBParams:
     q: float | None = None
 
     def __post_init__(self):
-        if not (self.r > 0):
-            raise ValidationError("NB dispersion r must be positive")
+        if not (math.isfinite(self.r) and self.r > 0):
+            raise ValidationError(
+                "NB dispersion r must be positive and finite")
         if self.q is not None and not (0.0 < self.q < 1.0):
             raise ValidationError("NB success probability q must be in (0, 1)")
 
@@ -126,12 +129,9 @@ class MagnitudeGrid:
 
     @classmethod
     def for_window(cls, w: EventWindow, intr: CameraIntrinsics,
-                   n: int = DEFAULT_GRID_N,
-                   m_max: float | None = None) -> "MagnitudeGrid":
-        """Build a grid; m_max defaults to the displacement-based auto rule."""
-        if m_max is None:
-            m_max = auto_m_max(w, intr)
-        return cls(m_max, n)
+                   n: int = DEFAULT_GRID_N) -> "MagnitudeGrid":
+        """The window's grid, bounded by auto_m_max."""
+        return cls(auto_m_max(w, intr), n)
 
 
 def auto_m_max(w: EventWindow, intr: CameraIntrinsics) -> float:

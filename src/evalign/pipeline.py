@@ -25,7 +25,7 @@ from .core import (
 )
 from .depth import DepthRow, coast_tracks, estimate_window_depth
 from .errors import InsufficientEventsError, ValidationError
-from .likelihood import DEFAULT_GRID_N, DEFAULT_NB_R, NBParams
+from .likelihood import DEFAULT_GRID_N
 from .metrics import DepthMetrics, pool_depth_metrics
 from .warp import AngularVelocity3, ImuTrace
 
@@ -35,10 +35,6 @@ class RunConfig:
     """Pipeline parameters with their documented defaults."""
 
     dt: float = 0.05
-    sigma_proc: float = 0.1
-    nb_r: float = DEFAULT_NB_R
-    nb_q: float | None = None      # None = per-window moment matching
-    m_max: float | None = None     # None = displacement-based auto rule
     grid_n: int = DEFAULT_GRID_N
     phi_samples: int = DEFAULT_PHI_SAMPLES
     min_events: int = DEFAULT_MIN_EVENTS
@@ -47,8 +43,6 @@ class RunConfig:
     def __post_init__(self):
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValidationError("dt must be positive and finite")
-        if not (math.isfinite(self.sigma_proc) and self.sigma_proc >= 0):
-            raise ValidationError("sigma_proc must be non-negative and finite")
         if self.phi_samples < 1:
             raise ValidationError("phi_samples must be at least 1")
         if self.min_events < 0:
@@ -56,9 +50,6 @@ class RunConfig:
         hot = self.hot_threshold
         if hot is not None and not (math.isfinite(hot) and hot >= 0):
             raise ValidationError("hot_threshold must be finite and >= 0")
-
-    def nb_params(self) -> NBParams:
-        return NBParams(self.nb_r, self.nb_q)
 
 
 def run_depth(events: Events, intr: CameraIntrinsics, cfg: RunConfig,
@@ -72,19 +63,17 @@ def run_depth(events: Events, intr: CameraIntrinsics, cfg: RunConfig,
     windows = slice_windows(events, cfg.dt)
     tracks = {}
     rows = []
-    params = cfg.nb_params()
     for w in windows:
         mask = mask_provider(w.t_start)
         try:
             result = align_window(
-                w, mask, imu, params, intr,
-                phi_samples=cfg.phi_samples, min_events=cfg.min_events,
-                grid_n=cfg.grid_n, m_max=cfg.m_max)
+                w, mask, imu, intr, phi_samples=cfg.phi_samples,
+                min_events=cfg.min_events, grid_n=cfg.grid_n)
         except InsufficientEventsError:
-            rows.extend(coast_tracks(tracks, cfg.sigma_proc, w.t_start))
+            rows.extend(coast_tracks(tracks, w.t_start))
             continue
         rows.extend(estimate_window_depth(result, mask, intr, tracks,
-                                          cfg.sigma_proc, t=w.t_start))
+                                          t=w.t_start))
     return rows
 
 
@@ -172,14 +161,12 @@ def run_angvel(events: Events, intr: CameraIntrinsics, cfg: RunConfig,
         windows = slice_windows_count(events, fixed_count)
     else:
         windows = slice_windows(events, cfg.dt)
-    params = cfg.nb_params()
     rows = []
     for w in windows:
         try:
             om = align_window_3dof(
-                w, intr, params=params, phi_samples=cfg.phi_samples,
-                min_events=cfg.min_events, grid_n=cfg.grid_n,
-                m_max=cfg.m_max)
+                w, intr, phi_samples=cfg.phi_samples,
+                min_events=cfg.min_events, grid_n=cfg.grid_n)
         except InsufficientEventsError:
             continue
         rows.append(AngVelRow(w.t_start, w.t_end, om))

@@ -51,7 +51,7 @@ class TestEstimateDirection:
         scene, motion, _, windows = two_plane_run
         w = windows[0]
         grid = MagnitudeGrid(m_max=1.5, n=50)
-        phi = estimate_direction(w, grid, None, intr)
+        phi = estimate_direction(w, grid, intr)
         phi_true = analytic_compensation(scene, motion, 1, intr).phi
         assert angdiff_deg(phi, phi_true) <= 3.0
 
@@ -59,19 +59,19 @@ class TestEstimateDirection:
         _, _, _, windows = two_plane_run
         w = windows[0]
         grid = MagnitudeGrid(m_max=1.5, n=50)
-        a = estimate_direction(w, grid, None, intr)
-        b = estimate_direction(w, grid, None, intr)
+        a = estimate_direction(w, grid, intr)
+        b = estimate_direction(w, grid, intr)
         assert a == b  # bitwise
 
     def test_mirrored_stream_reflects_direction(self, intr, two_plane_run):
         _, _, _, windows = two_plane_run
         w = windows[0]
         grid = MagnitudeGrid(m_max=1.5, n=50)
-        phi = estimate_direction(w, grid, None, intr)
+        phi = estimate_direction(w, grid, intr)
         ev = w.events
         mirrored = Events(intr.width - 1 - ev.x, ev.y, ev.t, ev.p)
         wm = EventWindow(mirrored, w.t_start, w.t_end)
-        phi_m = estimate_direction(wm, grid, None, intr)
+        phi_m = estimate_direction(wm, grid, intr)
         assert angdiff_deg(phi_m, math.pi - phi) <= 3.0
 
     @pytest.mark.parametrize("phi_samples", [36, 2, 1])
@@ -82,10 +82,9 @@ class TestEstimateDirection:
         _, _, _, windows = two_plane_run
         w = windows[3]
         grid = MagnitudeGrid.for_window(w, intr)
-        pooled = estimate_direction(w, grid, None, intr,
-                                    phi_samples=phi_samples)
+        pooled = estimate_direction(w, grid, intr, phi_samples=phi_samples)
         serial_scan()
-        assert estimate_direction(w, grid, None, intr,
+        assert estimate_direction(w, grid, intr,
                                   phi_samples=phi_samples) == pooled
 
     def test_insufficient_events(self, intr):
@@ -93,7 +92,7 @@ class TestEstimateDirection:
                     np.array([1], dtype=np.int8))
         w = EventWindow(ev, 0.0, 0.05)
         with pytest.raises(InsufficientEventsError, match="insufficient"):
-            estimate_direction(w, MagnitudeGrid(1.0, 10), None, intr)
+            estimate_direction(w, MagnitudeGrid(1.0, 10), intr)
 
 
 class TestEstimateMagnitude:
@@ -105,7 +104,7 @@ class TestEstimateMagnitude:
         phi_true = analytic_compensation(scene, motion, 1, intr).phi
         for rid in (1, 2):
             m, _ = estimate_magnitude(w, phi_true, mask.bool_mask(rid),
-                                      grid, None, intr)
+                                      grid, intr)
             truth = analytic_compensation(scene, motion, rid, intr).m
             assert m == pytest.approx(truth, rel=0.05)
 
@@ -116,7 +115,7 @@ class TestEstimateMagnitude:
         w = slice_windows(res.events, 0.05)[0]
         assert len(w) >= 50
         grid = MagnitudeGrid(m_max=1.0, n=50)
-        m, _ = estimate_magnitude(w, 1.0, None, grid, None, intr)
+        m, _ = estimate_magnitude(w, 1.0, None, grid, intr)
         assert m <= grid.values[1]
 
     def test_agrees_with_brute_force_grid(self, intr, symmetric_two_plane):
@@ -124,7 +123,7 @@ class TestEstimateMagnitude:
         w = slice_windows(res.events, 0.05)[0]
         grid = MagnitudeGrid(m_max=1.5, n=50)
         phi_true = analytic_compensation(scene, motion, 1, intr).phi
-        m, _ = estimate_magnitude(w, phi_true, None, grid, None, intr)
+        m, _ = estimate_magnitude(w, phi_true, None, grid, intr)
         # independent exhaustive search at step m_max/5000
         obj = WindowObjective(w, intr, None, None)
         fine = np.linspace(0.0, grid.m_max, 5001)
@@ -138,15 +137,14 @@ class TestEstimateMagnitude:
         region = np.zeros((intr.height, intr.width), dtype=bool)
         region[0:8, 0:8] = True  # corner without events
         with pytest.raises(InsufficientEventsError):
-            estimate_magnitude(w, 0.0, region, MagnitudeGrid(1.0, 10),
-                               None, intr)
+            estimate_magnitude(w, 0.0, region, MagnitudeGrid(1.0, 10), intr)
 
 
 class TestAlignWindow:
     def test_two_plane_magnitude_ratio(self, intr, symmetric_two_plane):
         scene, motion, res = symmetric_two_plane
         w = slice_windows(res.events, 0.05)[0]
-        result = align_window(w, res.windows[0].mask, None, None, intr)
+        result = align_window(w, res.windows[0].mask, None, intr)
         m_near = result.per_region[1].m
         m_far = result.per_region[2].m
         assert m_near / m_far == pytest.approx(2.0, abs=0.1)
@@ -157,11 +155,11 @@ class TestAlignWindow:
         _, _, res = symmetric_two_plane
         w = slice_windows(res.events, 0.05)[0]
         mask = res.windows[0].mask
-        result = align_window(w, mask, None, None, intr)
+        result = align_window(w, mask, None, intr)
         grid = MagnitudeGrid.for_window(w, intr)  # align_window's grid
         for rid, est in result.per_region.items():
             m, _ = estimate_magnitude(w, result.phi_global,
-                                      mask.bool_mask(rid), grid, None, intr)
+                                      mask.bool_mask(rid), grid, intr)
             assert est.m == m
 
     def test_full_frame_region_matches_estimate_magnitude(self, intr,
@@ -169,10 +167,9 @@ class TestAlignWindow:
         _, _, _, windows = two_plane_run
         w = windows[0]
         mask = RegionMask(np.ones((intr.height, intr.width), dtype=np.int32))
-        result = align_window(w, mask, None, None, intr, m_max=1.5)
-        grid = MagnitudeGrid(m_max=1.5, n=50)
-        m, _ = estimate_magnitude(w, result.phi_global, None, grid, None,
-                                  intr)
+        result = align_window(w, mask, None, intr)
+        grid = MagnitudeGrid.for_window(w, intr)  # align_window's grid
+        m, _ = estimate_magnitude(w, result.phi_global, None, grid, intr)
         assert result.per_region[1].m == pytest.approx(m, abs=1e-12)
 
     def test_empty_region_isolated(self, intr, two_plane_run):
@@ -180,7 +177,7 @@ class TestAlignWindow:
         w = windows[0]
         labels = res.windows[0].mask.labels.copy()
         labels[0:6, 0:6] = 3  # corner region without events
-        result = align_window(w, RegionMask(labels), None, None, intr)
+        result = align_window(w, RegionMask(labels), None, intr)
         assert not result.per_region[3].converged
         assert result.per_region[3].n_events < 50
         assert result.per_region[1].converged
@@ -190,7 +187,7 @@ class TestAlignWindow:
         scene, motion, res = symmetric_two_plane
         w = slice_windows(res.events, 0.05)[0]
         mask = res.windows[0].mask
-        result = align_window(w, mask, None, None, intr)
+        result = align_window(w, mask, None, intr)
         phi = result.phi_global
         for rid, est in result.per_region.items():
             obj = WindowObjective(w, intr, mask.bool_mask(rid), None)
@@ -207,9 +204,9 @@ class TestAlignWindow:
         _, _, res = symmetric_two_plane
         w = slice_windows(res.events, 0.05)[0]
         mask = res.windows[0].mask
-        pooled = align_window(w, mask, None, None, intr)
+        pooled = align_window(w, mask, None, intr)
         serial_scan()
-        assert align_window(w, mask, None, None, intr) == pooled
+        assert align_window(w, mask, None, intr) == pooled
 
 
 class TestAlignWindow3Dof:

@@ -1,5 +1,7 @@
 """CLI plumbing: subcommands, files, exit codes, reproducibility."""
 
+import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -11,7 +13,7 @@ import pytest
 
 import evalign
 from evalign import likelihood
-from evalign.cli import _build_config, build_parser, main
+from evalign.cli import _build_config, _config_flags, build_parser, main
 from evalign.pipeline import RunConfig
 from evalign.dataio import read_events, read_gt_depth, read_imu, read_masks
 
@@ -150,6 +152,17 @@ class TestDepthCommand:
         regions = {int(l.split(",")[1]) for l in body}
         assert len(regions) > 4  # honeycomb cells, not the 2 file regions
 
+    @pytest.mark.parametrize("radius", ["nan", "inf"])
+    def test_non_finite_honeycomb_radius_exit_2(self, dataset, tmp_path,
+                                                capsys, radius):
+        code = main(["depth", "--events", str(dataset / "events.evt"),
+                     "--mask", f"honeycomb:r={radius}",
+                     "--out", str(tmp_path / "out"), *FAST])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cell radius must be finite")
+        assert not (tmp_path / "out").exists()
+
     def test_sparse_events_exit_3(self, dataset, tmp_path):
         sparse = tmp_path / "sparse.evt"
         lines = ["evt1 160 120"]
@@ -224,11 +237,11 @@ class TestDepthCommand:
     @pytest.mark.parametrize("flags, message", [
         (["--phi-samples", "0"], "phi_samples"),
         (["--dt", "nan"], "dt"),
-        (["--sigma-proc", "nan"], "sigma_proc"),
-        (["--sigma-proc", "-1"], "sigma_proc"),
+        (["--grid-n", "1"], "grid"),
+        (["--dt", "0"], "dt"),
         (["--intrinsics", "200,200,inf,59.5"], "finite"),
         (["--intrinsics", "nan,200,95.5,59.5"], "finite"),
-        (["--m-max", "inf"], "m_max"),
+        (["--intrinsics", "200,200,95.5"], "intrinsics"),
         (["--hot-thresh", "nan"], "hot_threshold"),
         (["--hot-thresh", "-1"], "hot_threshold"),
         (["--min-events", "-5"], "min_events"),
@@ -245,13 +258,50 @@ class TestDepthCommand:
         assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command, required", [
+# the commands that take the config flags, with their required arguments
+CONFIG_COMMANDS = [
     ("depth", ["--events", "e", "--mask", "m", "--out", "o"]),
     ("angvel", ["--events", "e", "--imu-gt", "g", "--out", "o"]),
-])
+]
+
+
+@pytest.mark.parametrize("command, required", CONFIG_COMMANDS)
 def test_flag_defaults_are_run_config_defaults(command, required):
     args = build_parser().parse_args([command, *required])
     assert _build_config(args) == RunConfig()
+
+
+# the flag of each RunConfig field; --intrinsics describes the camera and
+# has no field
+CONFIG_FLAGS = {"dt": "--dt", "grid_n": "--grid-n",
+                "phi_samples": "--phi-samples", "min_events": "--min-events",
+                "hot_threshold": "--hot-thresh"}
+
+
+def test_config_flags_match_run_config_fields():
+    parser = argparse.ArgumentParser()
+    _config_flags(parser)
+    options = [a.option_strings for a in parser._actions
+               if a.option_strings not in (["-h", "--help"],
+                                           ["--intrinsics"])]
+    assert sorted(options) == sorted([f] for f in CONFIG_FLAGS.values())
+    names = [f.name for f in dataclasses.fields(RunConfig)]
+    assert sorted(names) == sorted(CONFIG_FLAGS)
+    default = RunConfig()
+    for name, flag in CONFIG_FLAGS.items():
+        cfg = _build_config(parser.parse_args([flag, "7"]))
+        assert [n for n in names
+                if getattr(cfg, n) != getattr(default, n)] == [name]
+
+
+@pytest.mark.parametrize("command, required", CONFIG_COMMANDS)
+@pytest.mark.parametrize("flag", ["--sigma-proc", "--nb-r", "--nb-q",
+                                  "--m-max"])
+def test_removed_flags_are_usage_errors(command, required, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *required, flag, "1"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
 
 class TestAngvelCommand:

@@ -46,10 +46,16 @@ class TestSliceWindows:
            end_on_lattice=st.booleans())
     # 3 * 0.1 / 0.1 rounds above 3: only the tolerance keeps it closed
     @example(offset=0.0, dt=0.1, rel=[0.25], end_on_lattice=True)
+    # 0.060000000000000005 / 0.01 rounds to 6.0, and 6 * 0.01 is 0.06
+    @example(offset=0.05, dt=0.01, rel=[0.01], end_on_lattice=True)
     def test_partition_exactly_once(self, offset, dt, rel, end_on_lattice):
         ts = np.sort(offset + np.asarray(rel))
         if end_on_lattice:
-            ts = np.append(ts, math.ceil(ts[-1] / dt) * dt)
+            # the first lattice point at or after the last event
+            k = math.ceil(ts[-1] / dt)
+            while k * dt < ts[-1]:
+                k += 1
+            ts = np.append(ts, k * dt)
         windows = slice_windows(make_stream(ts), dt)
         # every event exactly once, in order
         assert np.array_equal(

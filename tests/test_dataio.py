@@ -18,7 +18,7 @@ from evalign.dataio import (
     write_imu,
     write_masks,
 )
-from evalign.errors import ParseError
+from evalign.errors import ParseError, ValidationError
 from evalign.warp import ImuTrace
 from tests.test_synth import plain_scene
 
@@ -226,6 +226,12 @@ class TestHoneycomb:
     def test_minimum_radius_enforced(self):
         with pytest.raises(Exception):
             honeycomb_mask(160, 120, 2.0)
+
+    @pytest.mark.parametrize("r", [math.nan, math.inf])
+    def test_non_finite_radius_rejected(self, r):
+        # an infinite radius would make the whole sensor one cell
+        with pytest.raises(ValidationError, match="finite"):
+            honeycomb_mask(160, 120, r)
 
 
 class TestHotPixelFilter:

@@ -214,7 +214,7 @@ class TestEstimateWindowDepth:
             2: (om.m, c2, True, 400),
         }, phi=om.phi)
         tracks = {}
-        reports = estimate_window_depth(result, mask, intr, tracks, 0.1)
+        reports = estimate_window_depth(result, mask, intr, tracks)
         by_id = {r.region_id: r for r in reports}
         assert by_id[1].is_reference and by_id[1].d_track == 1.0
         v1 = rot_flow(om.as_3dof(), c1, intr)
@@ -226,7 +226,7 @@ class TestEstimateWindowDepth:
     def test_reference_only_scene(self, intr):
         mask = mask_with_sizes(intr, {1: 900})
         result = fake_result({1: (0.3, (20.0, 20.0), True, 300)}, phi=1.0)
-        reports = estimate_window_depth(result, mask, intr, {}, 0.1)
+        reports = estimate_window_depth(result, mask, intr, {})
         assert len(reports) == 1
         assert reports[0].is_reference
         assert reports[0].d_track == 1.0
@@ -238,7 +238,7 @@ class TestEstimateWindowDepth:
             1: (0.1, (5.0, 5.0), False, 3),
             2: (0.1, (17.0, 5.0), False, 4),
         })
-        reports = estimate_window_depth(result, mask, intr, tracks, 0.1)
+        reports = estimate_window_depth(result, mask, intr, tracks)
         by_id = {r.region_id: r for r in reports}
         assert not by_id[2].converged
         assert tracks[2].d == 0.7
@@ -251,7 +251,7 @@ class TestEstimateWindowDepth:
             2: (0.5, (40.0, 30.0), True, 200),
             3: (0.0, None, False, 0),
         }, phi=1.0)
-        rows = estimate_window_depth(result, mask, intr, {}, 0.1, t=0.35)
+        rows = estimate_window_depth(result, mask, intr, {}, t=0.35)
         assert [r.region_id for r in rows] == [1, 2, 3]
         for r in rows:
             assert (r.t_start, r.phi) == (0.35, 1.0)
@@ -264,7 +264,7 @@ class TestEstimateWindowDepth:
     def test_coasting_rows_predict_every_track(self):
         tracks = {2: DistanceTrack(2, 0.7, 0.02),
                   1: DistanceTrack(1, 1.0, 1e-4)}
-        rows = coast_tracks(tracks, 0.1, t=0.4)
+        rows = coast_tracks(tracks, t=0.4)
         assert [r.region_id for r in rows] == [1, 2]
         assert tracks[2].var == pytest.approx(0.03)
         for r in rows:
@@ -281,8 +281,7 @@ class TestEstimateWindowDepth:
         tracks = {}
         for k, w in enumerate(windows[:10]):
             mask = res.windows[k].mask
-            result = align_window(w, mask, None, None, intr)
-            estimate_window_depth(result, mask, intr, tracks, 0.1,
-                                  t=w.t_start)
+            result = align_window(w, mask, None, intr)
+            estimate_window_depth(result, mask, intr, tracks, t=w.t_start)
         assert tracks[1].d == pytest.approx(0.5, abs=0.05)
         assert tracks[2].d == 1.0  # pinned reference

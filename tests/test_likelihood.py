@@ -86,6 +86,10 @@ class TestNbLogPmf:
             nb_log_pmf(0.5, NBParams(1.0, 0.5))
         with pytest.raises(ValidationError):
             NBParams(0.0, 0.5)
+        with pytest.raises(ValidationError, match="finite"):
+            NBParams(math.inf)
+        with pytest.raises(ValidationError, match="finite"):
+            NBParams(math.nan, 0.5)
         with pytest.raises(ValidationError):
             NBParams(1.0, 1.0)
 
