@@ -219,20 +219,32 @@ def slice_windows_count(stream: Events, n_events: int) -> list[EventWindow]:
 
 
 def _splat(positions: np.ndarray, width: int, height: int,
-           on_canvas: bool = False) -> np.ndarray:
+           on_canvas: bool = False, out: np.ndarray | None = None
+           ) -> np.ndarray:
     """Bilinear splat of a (B, N, 2) position batch into (B, height, width).
 
-    One weighted bincount over flattened (batch, y, x) indices, laid out
-    corner-major (all top-left fragments, then top-right, bottom-left,
-    bottom-right), so every pixel sums its fragments in a fixed order.
+    One unbuffered scatter-add (np.add.at) over flattened (batch, y, x)
+    indices, laid out corner-major (all top-left fragments, then
+    top-right, bottom-left, bottom-right), so every pixel sums its
+    fragments in a fixed order, the order a weighted bincount would use.
     The in-bounds mask runs only when some floored position puts a
     fragment off the canvas (x0 < 0, x0 >= width - 1, or likewise in y);
     those fragments are dropped. In-bounds mass is conserved exactly.
     on_canvas=True skips that check: the caller guarantees every fragment
     lands on the canvas, as the likelihood scorer's canvas, sized from the
     batch's own extent, does.
+
+    out, if given, is a zeroed flat float64 buffer of B * height * width
+    values that receives the counts (a reused canvas); otherwise zeros are
+    allocated. The result is a (B, height, width) view of that buffer.
     """
     b, n, _ = positions.shape
+    size = b * height * width
+    if out is None:
+        out = np.zeros(size)
+    elif out.shape != (size,) or out.dtype != np.float64:
+        raise ValueError(f"out must be a flat float64 buffer of {size} "
+                         f"values")
     x = positions[..., 0]
     y = positions[..., 1]
     x0 = np.floor(x)
@@ -261,5 +273,5 @@ def _splat(positions: np.ndarray, width: int, height: int,
         y_in = ((y0 >= 0) & (y0 < height), (y0 >= -1) & (y0 < height - 1))
         ok = np.stack([xi & yi for yi in y_in for xi in x_in]).ravel()
         idx, wts = idx[ok], wts[ok]
-    flat = np.bincount(idx, weights=wts, minlength=b * height * width)
-    return flat.reshape(b, height, width)
+    np.add.at(out, idx, wts)
+    return out.reshape(b, height, width)

@@ -67,6 +67,11 @@ SCORE_CHUNK = 8
 # the process.
 _scan_pool: ProcessPoolExecutor | None = None
 
+# Each thread's zeroed flat canvas for _score_positions, grown to the
+# largest chunk seen. Module state, not a WindowObjective attribute: the
+# objective is pickled for every pool task and must stay small.
+_workspace = threading.local()
+
 
 @dataclass(frozen=True)
 class NBParams:
@@ -234,7 +239,10 @@ class WindowObjective:
         so no mass is dropped and _splat can skip its bounds check;
         untouched pixels contribute zero on top of the base term.
         Batches are scored in chunks so rows with small warped extents do
-        not pay for the canvas of the largest one.
+        not pay for the canvas of the largest one. Every chunk is splatted
+        into the front of this thread's reused zeroed canvas, and only the
+        pixels it made non-zero are reset, since a chunk touches about a
+        tenth of its canvas; on an error the whole used slice is reset.
         """
         b = pos.shape[0]
         if pos.shape[1] == 0:
@@ -248,11 +256,17 @@ class WindowObjective:
             w_c = math.floor(float(part[..., 0].max())) + 3 - x_lo
             h_c = math.floor(float(part[..., 1].max())) + 3 - y_lo
             shifted = part - np.array([x_lo, y_lo], dtype=np.float64)
-            flat = _splat(shifted, w_c, h_c,
-                          on_canvas=True).reshape(nb * h_c * w_c)
-            nz = np.flatnonzero(flat != 0)  # numpy scans bools fastest
+            flat = _canvas(nb * h_c * w_c)
+            try:
+                _splat(shifted, w_c, h_c, on_canvas=True, out=flat)
+                nz = np.flatnonzero(flat != 0)  # numpy scans bools fastest
+                counts = flat[nz]
+                flat[nz] = 0
+            except BaseException:
+                flat.fill(0)
+                raise
             if nz.size:
-                diff = _nb_log_density(flat[nz], self.params) - self._log_pmf0
+                diff = _nb_log_density(counts, self.params) - self._log_pmf0
                 scores[lo:lo + SCORE_CHUNK] += np.bincount(
                     nz // (h_c * w_c), weights=diff, minlength=nb)
         return scores
@@ -271,6 +285,15 @@ class WindowObjective:
         m_values = np.asarray(m_values, dtype=np.float64)
         pos = self.base[None] - m_values[:, None, None] * step[None]
         return self._score_positions(pos)
+
+
+def _canvas(size: int) -> np.ndarray:
+    """The first size values of this thread's zeroed canvas, which is
+    replaced by a larger one when it is too small."""
+    buf = getattr(_workspace, "canvas", None)
+    if buf is None or buf.size < size:
+        buf = _workspace.canvas = np.zeros(size)
+    return buf[:size]
 
 
 def marginal_from_objective(obj: WindowObjective, phi: float,

@@ -78,3 +78,30 @@ def serial_scan(monkeypatch):
     def enable():
         monkeypatch.setattr(align, "marginals_from_objective", loop)
     return enable
+
+
+def _bincount_splat(positions, width, height):
+    """The bilinear splat as one weighted bincount over the corner-major
+    flattened (batch, y, x) indices, dropping off-canvas fragments."""
+    b, n, _ = positions.shape
+    x0 = np.floor(positions[..., 0])
+    y0 = np.floor(positions[..., 1])
+    fx = positions[..., 0] - x0
+    fy = positions[..., 1] - y0
+    base = (np.arange(b)[:, None] * height
+            + y0.astype(np.int64)) * width + x0.astype(np.int64)
+    idx = np.stack([base, base + 1, base + width, base + width + 1])
+    wts = np.stack([(1 - fx) * (1 - fy), fx * (1 - fy), (1 - fx) * fy,
+                    fx * fy])
+    x_in = ((x0 >= 0) & (x0 < width), (x0 >= -1) & (x0 < width - 1))
+    y_in = ((y0 >= 0) & (y0 < height), (y0 >= -1) & (y0 < height - 1))
+    ok = np.stack([xi & yi for yi in y_in for xi in x_in])
+    flat = np.bincount(idx[ok], weights=wts[ok], minlength=b * height * width)
+    return flat.reshape(b, height, width)
+
+
+@pytest.fixture(scope="session")
+def bincount_splat():
+    """The fresh-canvas reference that core._splat, with or without out=,
+    must equal bit for bit."""
+    return _bincount_splat

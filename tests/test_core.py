@@ -168,6 +168,32 @@ class TestAccumulate:
         assert np.array_equal(_splat(np.empty((3, 0, 2)), w, h),
                               np.zeros((3, h, w)))
 
+    def test_out_buffer_matches_allocating_call(self, bincount_splat):
+        """out= fills the given zeroed buffer with the allocating call's
+        counts, bit for bit, on the unmasked and the masked path, and
+        both equal the weighted-bincount splat."""
+        rng = np.random.default_rng(6)
+        w, h = 24, 17
+        inside = rng.uniform(1.0, [w - 2, h - 2], size=(3, 40, 2))
+        straddle = rng.uniform(-2.5, [w + 1.5, h + 1.5], size=(2, 40, 2))
+        for batch, on_canvas in ((inside, True), (inside, False),
+                                 (straddle, False)):
+            alloc = _splat(batch, w, h, on_canvas=on_canvas)
+            out = np.zeros(batch.shape[0] * h * w)
+            got = _splat(batch, w, h, on_canvas=on_canvas, out=out)
+            assert np.shares_memory(got, out)
+            assert got.shape == alloc.shape == (batch.shape[0], h, w)
+            assert got.tobytes() == alloc.tobytes()
+            assert alloc.tobytes() == bincount_splat(batch, w, h).tobytes()
+
+    @pytest.mark.parametrize("out", [np.zeros(2 * 5 * 4 - 1),
+                                     np.zeros(2 * 5 * 4 + 1),
+                                     np.zeros((2 * 5, 4)),
+                                     np.zeros(2 * 5 * 4, dtype=np.float32)])
+    def test_out_buffer_of_wrong_size_rejected(self, out):
+        with pytest.raises(ValueError, match="flat float64 buffer of 40"):
+            _splat(np.ones((2, 3, 2)), 4, 5, out=out)
+
     def test_splat_touches_at_most_four_pixels(self):
         rng = np.random.default_rng(4)
         for _ in range(25):

@@ -3,10 +3,13 @@ semantics, and the magnitude-marginalized direction objective."""
 
 import math
 import os
+import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.stats import nbinom
 
 from evalign import (
@@ -26,6 +29,7 @@ from evalign.errors import ValidationError
 from evalign.likelihood import (
     SCORE_CHUNK,
     _nb_log_density,
+    auto_m_max,
     cut_plan,
     marginals_from_objective,
 )
@@ -219,6 +223,143 @@ class TestRayAgainstDenseReference:
         ray = obj.log_likelihood_ray(phi, m_values)
         np.testing.assert_allclose(ray, dense_ray(obj, phi, m_values),
                                    rtol=1e-10, atol=0)
+
+
+def fresh_canvas_scores(obj, pos, bincount_splat):
+    """_score_positions with a freshly allocated bincount canvas per chunk:
+    the scorer that the reused canvas must reproduce bit for bit."""
+    b = pos.shape[0]
+    scores = np.full(b, obj._base_term)
+    if pos.shape[1] == 0:
+        return scores
+    for lo in range(0, b, SCORE_CHUNK):
+        part = pos[lo:lo + SCORE_CHUNK]
+        nb = part.shape[0]
+        x_lo = math.floor(float(part[..., 0].min())) - 1
+        y_lo = math.floor(float(part[..., 1].min())) - 1
+        w_c = math.floor(float(part[..., 0].max())) + 3 - x_lo
+        h_c = math.floor(float(part[..., 1].max())) + 3 - y_lo
+        shifted = part - np.array([x_lo, y_lo], dtype=np.float64)
+        flat = bincount_splat(shifted, w_c, h_c).ravel()
+        nz = np.flatnonzero(flat)
+        if nz.size:
+            diff = _nb_log_density(flat[nz], obj.params) - obj._log_pmf0
+            scores[lo:lo + SCORE_CHUNK] += np.bincount(
+                nz // (h_c * w_c), weights=diff, minlength=nb)
+    return scores
+
+
+def canvas_is_zero():
+    """This thread's scorer canvas holds no count."""
+    canvas = getattr(likelihood._workspace, "canvas", np.zeros(0))
+    return not canvas.any()
+
+
+# one batch: rows, events per row, spread (px), centre x and y, lattice
+# (integer positions), rng seed
+BATCH = st.tuples(st.integers(1, 20), st.integers(0, 40),
+                  st.floats(0.5, 300.0), st.floats(-150.0, 350.0),
+                  st.floats(-150.0, 250.0), st.booleans(),
+                  st.integers(0, 2**32 - 1))
+
+
+class TestReusedCanvas:
+    """_score_positions scores every chunk on one reused, zeroed canvas
+    per thread and resets only the pixels it touched."""
+
+    @pytest.fixture(scope="class")
+    def obj(self, intr, two_plane_run):
+        _, _, _, windows = two_plane_run
+        return WindowObjective(windows[0], intr)
+
+    @given(batches=st.lists(BATCH, min_size=1, max_size=4))
+    @example(batches=[(20, 40, 300.0, 100.0, 60.0, False, 1),
+                      (3, 5, 0.5, 10.0, 10.0, True, 2),
+                      (17, 40, 300.0, -100.0, 200.0, False, 3)])
+    @settings(max_examples=60, deadline=None)
+    def test_equals_fresh_canvas(self, obj, bincount_splat, batches):
+        """Positions below 0 and beyond the sensor, row counts off the
+        chunk size, no events, and canvases that grow and shrink between
+        calls all score bit for bit as on a fresh canvas, and leave the
+        canvas all zero."""
+        for b, n, spread, cx, cy, lattice, seed in batches:
+            rng = np.random.default_rng(seed)
+            pos = rng.uniform(-0.5, 0.5, size=(b, n, 2)) * spread + [cx, cy]
+            if lattice:
+                pos = np.round(pos)
+            got = obj._score_positions(pos)
+            assert got.tobytes() == fresh_canvas_scores(
+                obj, pos, bincount_splat).tobytes()
+            assert canvas_is_zero()
+
+    def test_error_mid_chunk_resets_canvas(self, intr, two_plane_run, obj,
+                                           monkeypatch):
+        """An error after the second chunk's splat leaves the canvas zero,
+        so the next score is a fresh objective's."""
+        ms = np.linspace(0.0, 2.0, 20)
+        want = WindowObjective(two_plane_run[3][0], intr).log_likelihood_ray(
+            0.7, ms)
+        splat = likelihood._splat
+        calls = []
+
+        def splat_then_fail(*args, **kwargs):
+            splat(*args, **kwargs)
+            calls.append(1)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+        monkeypatch.setattr(likelihood, "_splat", splat_then_fail)
+        with pytest.raises(KeyboardInterrupt):
+            obj.log_likelihood_ray(0.7, ms)
+        monkeypatch.undo()
+        assert canvas_is_zero()
+        assert obj.log_likelihood_ray(0.7, ms).tobytes() == want.tobytes()
+
+    def test_threads_get_serial_results(self, intr, two_plane_run,
+                                        rotation_run):
+        """More threads than CPUs, each scoring its own objective over and
+        over with frequent thread switches, get the serial scores: each
+        thread has its own canvas."""
+        windows = (two_plane_run[3][0], two_plane_run[3][9],
+                   rotation_run[3][1], rotation_run[3][4])
+        objs = [WindowObjective(w, intr) for w in windows]
+        ms = np.linspace(0.0, 3.0, 20)
+        serial = [o.log_likelihood_ray(1.1, ms).tobytes() for o in objs]
+        results = [[] for _ in objs]
+
+        def score(i):
+            for _ in range(5):
+                results[i].append(objs[i].log_likelihood_ray(1.1, ms))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=score, args=(i,))
+                       for i in range(len(objs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for want, got in zip(serial, results):
+            assert [r.tobytes() for r in got] == [want] * 5
+
+    def test_pickle_does_not_grow(self, intr, two_plane_run):
+        # the objective is pickled for every pool task
+        obj = WindowObjective(two_plane_run[3][0], intr)
+        size = len(pickle.dumps(obj))
+        obj.log_likelihood_ray(0.7, np.linspace(0.0, 3.0, 20))
+        assert len(pickle.dumps(obj)) == size
+
+
+def test_auto_m_max_unchanged_by_splat(intr, two_plane_run, rotation_run,
+                                       bincount_splat, monkeypatch):
+    """auto_m_max picks the bound that the weighted-bincount splat gives
+    on every window of both scenes."""
+    windows = two_plane_run[3] + rotation_run[3]
+    got = [auto_m_max(w, intr) for w in windows]
+    monkeypatch.setattr(likelihood, "_splat", bincount_splat)
+    assert got == [auto_m_max(w, intr) for w in windows]
 
 
 class TestMarginal:
