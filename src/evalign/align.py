@@ -4,18 +4,19 @@ whole frame, then a per-region rotation magnitude along that direction.
 Estimating the direction over all pixels keeps it identifiable regardless
 of depth structure (direction is depth-independent for translational
 motion); depth discontinuities only change the per-region speed. Both 1-D
-searches are derivative-free (coarse grid + golden section). The score is
-continuous in the rotation, but the bilinear splat makes it only piecewise
-smooth: its slope jumps whenever an event crosses a pixel boundary. It
-is also multimodal in direction (the pixel lattice alone adds maxima
-along the sensor axes). A coarse grid picks the basin and golden section
-refines it from objective values alone.
+searches are derivative-free golden sections on objective values. The
+Gaussian splat makes the score smooth in the rotation, so a search that
+starts in the right basin converges to its maximum. The direction score
+is still multimodal over the full circle (events moving in different
+directions each make a basin), so the direction search starts in the
+basin that the window's FFT drift points at and scans every direction
+only when that drift is missing or the optimum leaves its bracket.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .likelihood import (
     MagnitudeGrid,
     WindowObjective,
     marginals_from_objective,
+    window_drift,
 )
 from .warp import (
     AngularVelocity2,
@@ -36,8 +38,11 @@ from .warp import (
 )
 
 DEFAULT_MIN_EVENTS = 50
-DEFAULT_PHI_SAMPLES = 36
+DEFAULT_PHI_SAMPLES = 12
 PHI_TOL = math.radians(0.2)
+# half-width of the direction bracket around the FFT drift's angle: the
+# spacing of the default coarse scan
+DRIFT_BRACKET = 2.0 * math.pi / DEFAULT_PHI_SAMPLES
 MAX_REFINE_EVALS = 50
 INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -89,28 +94,51 @@ def estimate_direction(w: EventWindow, grid: MagnitudeGrid,
                        min_events: int = DEFAULT_MIN_EVENTS) -> float:
     """Global flow direction by maximizing the magnitude-marginal likelihood.
 
-    Coarse scan over evenly spaced directions in [0, 2pi), then
-    golden-section refinement inside the bracketing interval (tolerance
-    0.2 degrees, at most MAX_REFINE_EVALS objective evaluations). Coarse
-    ties break toward the smaller angle. The coarse scan and each
-    refinement probe go through marginals_from_objective, which shares
-    their magnitude rows out among the usable CPUs (a process pool) with
-    results bit-for-bit those of a serial loop; the probes themselves
-    follow one another.
+    Golden section (tolerance 0.2 degrees, at most MAX_REFINE_EVALS
+    objective evaluations) on angle +- DRIFT_BRACKET, where angle is the
+    direction of grid.drift, the window's FFT drift. It falls back to the
+    coarse-scan search (_coarse_direction) when the grid has no drift, the
+    drift is zero, or the optimum ends within 2 * PHI_TOL of a bracket
+    edge, which means the maximum lies outside the bracket. Every probe
+    goes through marginals_from_objective, which shares its magnitude rows
+    out among the usable CPUs (a process pool) with results bit-for-bit
+    those of a serial loop.
     """
     if len(w) < min_events:
         raise InsufficientEventsError(
             f"insufficient events: {len(w)} < {min_events}")
     obj = WindowObjective(w, intr)
+    drift = grid.drift
+    if drift is not None and (drift.dx or drift.dy):
+        angle = math.atan2(drift.dy, drift.dx)
+        lo, hi = angle - DRIFT_BRACKET, angle + DRIFT_BRACKET
+        phi_hat = _refine_direction(obj, grid, lo, hi)
+        if lo + 2.0 * PHI_TOL < phi_hat < hi - 2.0 * PHI_TOL:
+            return phi_hat % (2.0 * math.pi)
+    return _coarse_direction(obj, grid, phi_samples)
+
+
+def _refine_direction(obj: WindowObjective, grid: MagnitudeGrid,
+                      lo: float, hi: float) -> float:
+    """Golden-section maximum of the direction marginal on [lo, hi]."""
+    phi_hat, _, _ = _golden_max(
+        lambda p: float(marginals_from_objective(obj, np.array([p]), grid)[0]),
+        lo, hi, tol=PHI_TOL, max_evals=MAX_REFINE_EVALS)
+    return float(phi_hat)
+
+
+def _coarse_direction(obj: WindowObjective, grid: MagnitudeGrid,
+                      phi_samples: int) -> float:
+    """The search without a drift: a coarse scan over phi_samples evenly
+    spaced directions in [0, 2pi), ties broken toward the smaller angle,
+    then golden section inside the interval around the best one."""
     phis = np.arange(phi_samples) * (2.0 * math.pi / phi_samples)
     coarse = marginals_from_objective(obj, phis, grid)
     best = int(np.argmax(coarse))  # first occurrence = smaller angle on ties
     step = 2.0 * math.pi / phi_samples
-    lo, hi = phis[best] - step, phis[best] + step
-    phi_hat, _, _ = _golden_max(
-        lambda p: float(marginals_from_objective(obj, np.array([p]), grid)[0]),
-        lo, hi, tol=PHI_TOL, max_evals=MAX_REFINE_EVALS)
-    return float(phi_hat) % (2.0 * math.pi)
+    phi_hat = _refine_direction(obj, grid, phis[best] - step,
+                                phis[best] + step)
+    return phi_hat % (2.0 * math.pi)
 
 
 def estimate_magnitude(w: EventWindow, phi: float, region: np.ndarray | None,
@@ -148,13 +176,15 @@ def align_window(w: EventWindow, mask: RegionMask, imu: ImuTrace | None,
     """Object-wise alignment of one window.
 
     Derotates when an IMU trace is given, estimates the shared direction on
-    the full frame, then the magnitude per mask region, both over grid_n
-    magnitudes up to the window's auto_m_max bound. Regions that fail (too
+    the full frame, bracketed by the window's FFT drift, then the magnitude
+    per mask region, both over grid_n magnitudes up to the window's
+    auto_m_max bound; the one FFT of the window serves both. A region holds
+    the events whose rounded positions are its pixels (core.pixel_lookup),
+    for its count and centroid as for its objective. Regions that fail (too
     few events) become unconverged entries; they never abort the window.
     Every region present in the mask gets an entry. Regions are solved one
-    after another in this process; the parallel part is the direction
-    search, its coarse scan and every refinement probe alike (see
-    estimate_direction).
+    after another in this process; the parallel part is every probe of the
+    direction search (see estimate_direction).
     """
     if (mask.height, mask.width) != (intr.height, intr.width):
         raise ValueError("mask dimensions do not match sensor dimensions")
@@ -196,8 +226,9 @@ def align_window_3dof(w: EventWindow, intr: CameraIntrinsics,
     Extends the 2-DOF search with a nested wz scan over [-m_max, m_max],
     m_max being the window's auto_m_max bound, as in its magnitude grid:
     each wz candidate is removed from the window by warping, the 2-DOF
-    machinery scores the remainder, and the best wz is refined by golden
-    section. Uses the same likelihood throughout.
+    machinery scores the remainder (its direction search bracketed by the
+    warped window's own drift, one FFT per candidate), and the best wz is
+    refined by golden section. Uses the same likelihood throughout.
     """
     if len(w) < min_events:
         raise InsufficientEventsError(
@@ -213,10 +244,11 @@ def align_window_3dof(w: EventWindow, intr: CameraIntrinsics,
                              intr)
         ev = Events(pos[:, 0], pos[:, 1], w.events.t, w.events.p)
         wd = EventWindow(ev, w.t_start, w.t_end, derotated=w.derotated)
-        phi = estimate_direction(wd, grid, intr,
+        grid_wz = replace(grid, drift=window_drift(wd, intr))
+        phi = estimate_direction(wd, grid_wz, intr,
                                  phi_samples=phi_samples,
                                  min_events=min_events)
-        m, ll = estimate_magnitude(wd, phi, None, grid, intr,
+        m, ll = estimate_magnitude(wd, phi, None, grid_wz, intr,
                                    min_events=min_events)
         cache[wz] = (ll, phi, m)
         return cache[wz]

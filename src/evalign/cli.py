@@ -56,7 +56,9 @@ def _config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--grid-n", type=int, default=d.grid_n,
                         help="magnitude grid points (default %(default)s)")
     parser.add_argument("--phi-samples", type=int, default=d.phi_samples,
-                        help="coarse direction samples (default %(default)s)")
+                        help="directions of the coarse scan that runs when "
+                             "the FFT drift cannot bracket the direction "
+                             "(default %(default)s)")
     parser.add_argument("--min-events", type=int, default=d.min_events,
                         help="minimum events per region "
                              "(default %(default)s)")

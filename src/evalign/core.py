@@ -1,5 +1,6 @@
 """Fundamental data types: events, camera intrinsics, time windows and
-region masks, plus window slicing and the bilinear splat kernel.
+region masks, plus window slicing and the splat kernel that turns event
+positions into a count image.
 
 Events are stored struct-of-arrays (parallel numpy vectors) rather than as
 per-event objects; all operations are pure functions over those arrays.
@@ -164,13 +165,24 @@ class RegionMask:
         return self.labels == region_id
 
     def label_at(self, x, y) -> np.ndarray:
-        """Region label at rounded positions; out-of-bounds positions map to 0."""
-        xi = np.rint(np.asarray(x)).astype(np.intp)
-        yi = np.rint(np.asarray(y)).astype(np.intp)
-        ok = (xi >= 0) & (xi < self.width) & (yi >= 0) & (yi < self.height)
-        out = np.zeros(xi.shape, dtype=self.labels.dtype)
-        out[ok] = self.labels[yi[ok], xi[ok]]
-        return out
+        """Region label at rounded positions (pixel_lookup)."""
+        return pixel_lookup(self.labels, x, y)
+
+
+def pixel_lookup(grid: np.ndarray, x, y) -> np.ndarray:
+    """Values of a (height, width) grid at the rounded positions (x, y).
+
+    A position that rounds off the grid belongs to no pixel and gets 0
+    (False for a bool grid): the one rule for which events a region holds,
+    shared by RegionMask.label_at and the likelihood's region objective.
+    """
+    xi = np.rint(np.asarray(x)).astype(np.intp)
+    yi = np.rint(np.asarray(y)).astype(np.intp)
+    h, w = grid.shape
+    ok = (xi >= 0) & (xi < w) & (yi >= 0) & (yi < h)
+    out = np.zeros(xi.shape, dtype=grid.dtype)
+    out[ok] = grid[yi[ok], xi[ok]]
+    return out
 
 
 def slice_windows(stream: Events, dt: float) -> list[EventWindow]:
@@ -218,21 +230,49 @@ def slice_windows_count(stream: Events, n_events: int) -> list[EventWindow]:
     return windows
 
 
+# The splat kernel: a Gaussian of SPLAT_SIGMA pixels sampled on 4 taps per
+# axis, floor(x) - 1 ... floor(x) + 2, with e^(-(k - f)^2 / 2 sigma^2) for
+# tap k at fraction f = x - floor(x). Dividing every tap by the k = 0 one
+# leaves g * _C1, 1, _C1 / g and _C4 / g^2 with g = e^(-f / sigma^2): one
+# exp per axis.
+SPLAT_SIGMA = 0.7
+_C1 = math.exp(-1.0 / (2.0 * SPLAT_SIGMA ** 2))
+_C4 = math.exp(-2.0 / SPLAT_SIGMA ** 2)
+
+
+def _taps(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """floor(u) and the (4, ...) normalised Gaussian tap weights of u."""
+    u0 = np.floor(u)
+    g = np.exp((u0 - u) * (1.0 / SPLAT_SIGMA ** 2))
+    ig = 1.0 / g
+    taps = np.empty((4,) + u.shape)
+    np.multiply(g, _C1, out=taps[0])
+    taps[1] = 1.0
+    np.multiply(ig, _C1, out=taps[2])
+    np.multiply(ig * ig, _C4, out=taps[3])
+    taps *= 1.0 / taps.sum(axis=0)
+    return u0, taps
+
+
 def _splat(positions: np.ndarray, width: int, height: int,
            on_canvas: bool = False, out: np.ndarray | None = None
            ) -> np.ndarray:
-    """Bilinear splat of a (B, N, 2) position batch into (B, height, width).
+    """Gaussian splat of a (B, N, 2) position batch into (B, height, width).
 
+    Each event spreads unit mass over the 4 x 4 pixels around it: the
+    separable product of its x and y taps (see SPLAT_SIGMA), normalised per
+    event, so the splat and the score built on it are smooth in the
+    positions and nearly indifferent to where an event sits on the pixel
+    lattice.
     One unbuffered scatter-add (np.add.at) over flattened (batch, y, x)
-    indices, laid out corner-major (all top-left fragments, then
-    top-right, bottom-left, bottom-right), so every pixel sums its
-    fragments in a fixed order, the order a weighted bincount would use.
-    The in-bounds mask runs only when some floored position puts a
-    fragment off the canvas (x0 < 0, x0 >= width - 1, or likewise in y);
-    those fragments are dropped. In-bounds mass is conserved exactly.
-    on_canvas=True skips that check: the caller guarantees every fragment
-    lands on the canvas, as the likelihood scorer's canvas, sized from the
-    batch's own extent, does.
+    indices, laid out tap-major (all (-1, -1) fragments, then (-1, 0), ...,
+    (y, x) row-major), so every pixel sums its fragments in a fixed order,
+    the order a weighted bincount would use. The in-bounds mask runs only
+    when some floored position puts a tap off the canvas (x0 < 1,
+    x0 > width - 3, or likewise in y); those fragments are dropped.
+    In-bounds mass is conserved. on_canvas=True skips that check: the
+    caller guarantees every tap lands on the canvas, as the likelihood
+    scorer's canvas, sized from the batch's own extent, does.
 
     out, if given, is a zeroed flat float64 buffer of B * height * width
     values that receives the counts (a reused canvas); otherwise zeros are
@@ -245,33 +285,22 @@ def _splat(positions: np.ndarray, width: int, height: int,
     elif out.shape != (size,) or out.dtype != np.float64:
         raise ValueError(f"out must be a flat float64 buffer of {size} "
                          f"values")
-    x = positions[..., 0]
-    y = positions[..., 1]
-    x0 = np.floor(x)
-    y0 = np.floor(y)
-    fx = x - x0
-    fy = y - y0
-    base = (np.arange(b, dtype=np.int64)[:, None] * height
-            + y0.astype(np.int64)) * width + x0.astype(np.int64)
-    idx = np.empty((4, b, n), dtype=np.int64)
-    idx[0] = base
-    idx[1] = base + 1
-    idx[2] = base + width
-    idx[3] = base + width + 1
-    gx = 1.0 - fx
-    gy = 1.0 - fy
-    wts = np.empty((4, b, n))
-    wts[0] = gx * gy
-    wts[1] = fx * gy
-    wts[2] = gx * fy
-    wts[3] = fx * fy
-    idx = idx.ravel()
-    wts = wts.ravel()
-    if n and not on_canvas and (x0.min() < 0 or x0.max() >= width - 1
-              or y0.min() < 0 or y0.max() >= height - 1):
-        x_in = ((x0 >= 0) & (x0 < width), (x0 >= -1) & (x0 < width - 1))
-        y_in = ((y0 >= 0) & (y0 < height), (y0 >= -1) & (y0 < height - 1))
-        ok = np.stack([xi & yi for yi in y_in for xi in x_in]).ravel()
+    x0, tx = _taps(positions[..., 0])
+    y0, ty = _taps(positions[..., 1])
+    # int32 indices scatter faster and take half the memory; every kept
+    # tap's index, and its base before the (-1, -1) offset, must fit
+    itype = np.int32 if size < 2**31 - 3 * width - 3 else np.int64
+    base = ((np.arange(b, dtype=itype)[:, None] * height
+             + y0.astype(itype)) * width + x0.astype(itype))
+    offsets = (np.arange(-1, 3)[:, None] * width
+               + np.arange(-1, 3)).astype(itype).reshape(16, 1, 1)
+    idx = (base + offsets).ravel()
+    wts = (ty[:, None] * tx[None]).ravel()
+    if n and not on_canvas and (x0.min() < 1 or x0.max() > width - 3
+              or y0.min() < 1 or y0.max() > height - 3):
+        x_in = [(x0 >= -k) & (x0 < width - k) for k in range(-1, 3)]
+        y_in = [(y0 >= -k) & (y0 < height - k) for k in range(-1, 3)]
+        ok = np.stack([yi & xi for yi in y_in for xi in x_in]).ravel()
         idx, wts = idx[ok], wts[ok]
     np.add.at(out, idx, wts)
     return out.reshape(b, height, width)

@@ -13,16 +13,18 @@ make the objective usable as an optimization target:
     pixels contributing nothing beyond the |region| * logpmf(0) base term.
     Summing only over the region's own pixels would let large warps push
     events off the domain and be rewarded for deleting them.
-  - Mass conservation across counts: fractional bilinear counts are scored
-    with the gamma-function continuation of the NB log-pmf rather than
-    being rounded. Rounding erases sub-0.5 fragments of isolated events,
-    and the likelihood then rewards warps that park events at half-pixel
-    offsets to destroy their mass. The continuous score is mass-neutral
-    (the linear-in-k term sums to a constant), smooth in omega, and keeps
-    the concentration reward: it is convex in k exactly when r < 1.
+  - Smooth fractional counts: every event is splatted as a small Gaussian
+    (core._splat), and the fractional counts are scored with the
+    gamma-function continuation of the NB log-pmf rather than being
+    rounded. The score is then smooth in omega, mass-neutral (the
+    linear-in-k term sums to a constant) and keeps the concentration
+    reward, which holds exactly when r < 1. A kernel that keeps an event
+    whole only on a pixel centre, as a bilinear one does, would reward
+    warps for parking events on the pixel lattice.
 
-A region enters through which events are scored (those whose raw positions
-lie inside it) and through the base term, not by clipping the pixel sum.
+A region enters through which events are scored (those whose rounded raw
+positions are its pixels) and through the base term, not by clipping the
+pixel sum.
 """
 
 from __future__ import annotations
@@ -35,11 +37,12 @@ import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .core import CameraIntrinsics, EventWindow, _splat
+from .core import CameraIntrinsics, EventWindow, _splat, pixel_lookup
 from .errors import ValidationError
 from .warp import AngularVelocity2, flow_basis
 
@@ -47,20 +50,20 @@ from .warp import AngularVelocity2, flow_basis
 # moment-matched per window unless given explicitly.
 DEFAULT_NB_R = 0.25
 
-DEFAULT_GRID_N = 50
+DEFAULT_GRID_N = 32
 
-# Auto magnitude-grid rule (auto_m_max): m_max = MMAX_FACTOR * drift /
-# (f * span), where drift is the shift of the cross-correlation peak
-# between the window's two halves scaled to the full span, clamped to
-# [MMAX_FLOOR, MMAX_CAP] rad/s.
-MMAX_FACTOR = 4.0
+# Auto magnitude-grid rule (auto_m_max): m_max = MMAX_FACTOR * |shift| /
+# (f * dt), the image speed of the window's drift (window_drift) in rad/s,
+# clamped to [MMAX_FLOOR, MMAX_CAP] rad/s. No estimate on the benchmark
+# scenes reaches the bound.
+MMAX_FACTOR = 2.5
 MMAX_FLOOR = 0.5
 MMAX_CAP = 10.0
 
 # Rows of a batch that _score_positions splats onto one canvas. A ray cut
 # at a multiple of it scores every row bit for bit as the whole ray does,
 # so cut_plan splits direction scans on these boundaries.
-SCORE_CHUNK = 8
+SCORE_CHUNK = 4
 
 # Workers that score all but the first part of a direction scan (see
 # marginals_from_objective); created on first use, kept for the life of
@@ -117,10 +120,16 @@ def nb_log_pmf(k, params: NBParams):
 
 @dataclass(frozen=True)
 class MagnitudeGrid:
-    """Evenly spaced magnitudes over [0, m_max] (uniform prior support)."""
+    """Evenly spaced magnitudes over [0, m_max] (uniform prior support).
+
+    drift is the window's Drift when the grid comes from for_window; the
+    direction search centres its bracket on it. A grid without one has
+    the search scan every direction.
+    """
 
     m_max: float
     n: int = DEFAULT_GRID_N
+    drift: Drift | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.m_max) and self.m_max > 0):
@@ -135,28 +144,47 @@ class MagnitudeGrid:
     @classmethod
     def for_window(cls, w: EventWindow, intr: CameraIntrinsics,
                    n: int = DEFAULT_GRID_N) -> "MagnitudeGrid":
-        """The window's grid, bounded by auto_m_max."""
-        return cls(auto_m_max(w, intr), n)
+        """The window's grid, bounded by auto_m_max, carrying its drift."""
+        drift = window_drift(w, intr)
+        m_max = MMAX_FLOOR
+        if drift is not None:
+            f = 0.5 * (intr.fx + intr.fy)
+            speed = math.hypot(drift.dx, drift.dy) / (f * drift.dt)  # rad/s
+            m_max = min(max(MMAX_FACTOR * speed, MMAX_FLOOR), MMAX_CAP)
+        return cls(m_max, n, drift)
 
 
-def auto_m_max(w: EventWindow, intr: CameraIntrinsics) -> float:
-    """Upper magnitude bound from the window's apparent image motion.
+class Drift(NamedTuple):
+    """The dominant image shift between a window's two halves.
 
-    The dominant displacement between the first and second halves of the
-    window is found by FFT cross-correlation of their count images, scaled
-    to the full span, then converted to rad/s via the mean focal length.
-    Windows without usable drift fall back to the floor value.
+    (dx, dy) is the peak of their count images' cross-correlation in whole
+    pixels, from the first half to the second; dt is the time between the
+    halves' mean timestamps. Its angle atan2(dy, dx) is the direction of
+    image motion, which at the principal point is the phi of the
+    compensating rotation (flow_basis there maps phi to f (cos, sin)).
     """
+
+    dx: int
+    dy: int
+    dt: float
+
+
+def window_drift(w: EventWindow, intr: CameraIntrinsics) -> Drift | None:
+    """The window's Drift by FFT cross-correlation of the Gaussian count
+    images of its first and second halves (phase correlation without its
+    normalisation); None when the window has fewer than 16 events, a half
+    has fewer than 8 or the halves' mean times coincide."""
     ev = w.events
-    f = 0.5 * (intr.fx + intr.fy)
-    span = max(w.span, 1e-9)
     if len(ev) < 16:
-        return MMAX_FLOOR
+        return None
     t_mid = 0.5 * (float(ev.t[0]) + float(ev.t[-1]))
     first = ev.t <= t_mid
     second = ~first
     if first.sum() < 8 or second.sum() < 8:
-        return MMAX_FLOOR
+        return None
+    dt = float(np.mean(ev.t[second]) - np.mean(ev.t[first]))
+    if dt <= 1e-9:
+        return None
     h, wd = intr.height, intr.width
     img1 = _splat(np.column_stack((ev.x[first], ev.y[first]))[None], wd, h)[0]
     img2 = _splat(np.column_stack((ev.x[second], ev.y[second]))[None], wd, h)[0]
@@ -167,12 +195,14 @@ def auto_m_max(w: EventWindow, intr: CameraIntrinsics) -> float:
         dx -= wd
     if dy > h // 2:
         dy -= h
-    dt_eff = float(np.mean(ev.t[second]) - np.mean(ev.t[first]))
-    if dt_eff <= 1e-9:
-        return MMAX_FLOOR
-    disp = math.hypot(dx, dy) * span / dt_eff
-    m = MMAX_FACTOR * disp / (f * span)
-    return min(max(m, MMAX_FLOOR), MMAX_CAP)
+    return Drift(int(dx), int(dy), dt)
+
+
+def auto_m_max(w: EventWindow, intr: CameraIntrinsics) -> float:
+    """Upper magnitude bound from the window's apparent image motion:
+    MMAX_FACTOR times the speed of its window_drift, converted to rad/s
+    by the mean focal length. Windows without a drift get the floor."""
+    return MagnitudeGrid.for_window(w, intr).m_max
 
 
 def _nb_log_density(k: np.ndarray, params: NBParams) -> np.ndarray:
@@ -212,12 +242,7 @@ class WindowObjective:
             self.n_region_px = int(np.count_nonzero(region))
             if self.n_region_px == 0:
                 raise ValidationError("empty region")
-            if len(ev):
-                xi = np.clip(np.rint(ev.x).astype(np.intp), 0, self.width - 1)
-                yi = np.clip(np.rint(ev.y).astype(np.intp), 0, self.height - 1)
-                member = region[yi, xi]
-            else:
-                member = np.ones(0, dtype=bool)
+            member = pixel_lookup(region, ev.x, ev.y)
         sub = ev.select(member)
         self.n_events_in_region = len(sub)
         self.base = sub.positions()
@@ -235,8 +260,9 @@ class WindowObjective:
     def _score_positions(self, pos: np.ndarray) -> np.ndarray:
         """Likelihood of a (B, N, 2) warped-position batch.
 
-        Splats onto a canvas that covers the batch with a one-pixel margin,
-        so no mass is dropped and _splat can skip its bounds check;
+        Splats onto a canvas that covers every splat tap of the batch, with
+        one more column and row that absorb the rounding of the shift onto
+        it, so no mass is dropped and _splat can skip its bounds check;
         untouched pixels contribute zero on top of the base term.
         Batches are scored in chunks so rows with small warped extents do
         not pay for the canvas of the largest one. Every chunk is splatted
@@ -253,8 +279,8 @@ class WindowObjective:
             nb = part.shape[0]
             x_lo = math.floor(float(part[..., 0].min())) - 1
             y_lo = math.floor(float(part[..., 1].min())) - 1
-            w_c = math.floor(float(part[..., 0].max())) + 3 - x_lo
-            h_c = math.floor(float(part[..., 1].max())) + 3 - y_lo
+            w_c = math.floor(float(part[..., 0].max())) + 4 - x_lo
+            h_c = math.floor(float(part[..., 1].max())) + 4 - y_lo
             shifted = part - np.array([x_lo, y_lo], dtype=np.float64)
             flat = _canvas(nb * h_c * w_c)
             try:

@@ -1,4 +1,4 @@
-"""Core types: window slicing and the bilinear splat kernel."""
+"""Core types: window slicing and the Gaussian splat kernel."""
 
 import math
 
@@ -8,8 +8,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from evalign import (CameraIntrinsics, Events, EventWindow, slice_windows,
                      slice_windows_count)
-from evalign.core import _splat
+from evalign.core import SPLAT_SIGMA, _splat
 from evalign.errors import ValidationError
+from evalign.likelihood import NBParams, _nb_log_density
 
 
 def make_stream(ts):
@@ -85,22 +86,29 @@ class TestSliceWindows:
         assert windows[0].t_end == ts[29]
 
 
+def gaussian_taps(u):
+    """floor(u) and the four normalised taps exp(-d^2 / 2 sigma^2) at the
+    distances d from u to floor(u) - 1 ... floor(u) + 2."""
+    u0 = math.floor(u)
+    taps = [math.exp(-(u0 + k - u) ** 2 / (2.0 * SPLAT_SIGMA ** 2))
+            for k in range(-1, 3)]
+    return u0, [t / sum(taps) for t in taps]
+
+
 def brute_force_splat(positions, width, height):
     """Independent per-event accumulation oracle (plain loops)."""
     img = np.zeros((height, width))
     dropped = 0.0
     for x, y in positions:
-        x0, y0 = math.floor(x), math.floor(y)
-        fx, fy = x - x0, y - y0
-        for dx, dy, w in ((0, 0, (1 - fx) * (1 - fy)),
-                          (1, 0, fx * (1 - fy)),
-                          (0, 1, (1 - fx) * fy),
-                          (1, 1, fx * fy)):
-            xi, yi = x0 + dx, y0 + dy
-            if 0 <= xi < width and 0 <= yi < height:
-                img[yi, xi] += w
-            else:
-                dropped += w
+        x0, tx = gaussian_taps(x)
+        y0, ty = gaussian_taps(y)
+        for j in range(4):
+            for i in range(4):
+                xi, yi, w = x0 + i - 1, y0 + j - 1, ty[j] * tx[i]
+                if 0 <= xi < width and 0 <= yi < height:
+                    img[yi, xi] += w
+                else:
+                    dropped += w
     return img, dropped
 
 
@@ -111,28 +119,38 @@ def splat_one(pos, width=32, height=32):
 
 class TestAccumulate:
     def test_integer_position(self):
+        # the centre pixel takes the largest share, its neighbours at
+        # distance 1 share alike, and the taps at distance 2 lie on one side
         img = splat_one([[10.0, 10.0]])
-        assert img[10, 10] == 1.0
-        assert img.sum() == 1.0
+        _, taps = gaussian_taps(10.0)
+        assert img[10, 10] == pytest.approx(taps[1] ** 2, abs=1e-15)
+        assert img[10, 10] == img.max()
+        assert img[10, 9] == pytest.approx(img[10, 11], abs=1e-15)
+        assert img[9, 10] == pytest.approx(img[11, 10], abs=1e-15)
+        assert img[10, 12] > 0 and img[10, 8] == 0
+        assert img.sum() == pytest.approx(1.0, abs=1e-15)
 
-    def test_bilinear_half_split(self):
-        # (x=10.5, y=10) splits evenly across the two x neighbors
+    def test_half_pixel_splits_evenly(self):
+        # (x=10.5, y=10) splits evenly between columns 10 and 11, and
+        # between 9 and 12
         img = splat_one([[10.5, 10.0]])
-        assert img[10, 10] == pytest.approx(0.5)
-        assert img[10, 11] == pytest.approx(0.5)
-        assert img.sum() == pytest.approx(1.0)
+        np.testing.assert_allclose(img[:, 10], img[:, 11], atol=1e-15)
+        np.testing.assert_allclose(img[:, 9], img[:, 12], atol=1e-15)
+        assert img[:, 10].sum() == pytest.approx(img[:, 10:12].sum() / 2)
+        assert img.sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_mass_conservation_1000_events(self):
         rng = np.random.default_rng(3)
-        pos = rng.uniform(1.0, 30.0, size=(1000, 2))
+        pos = rng.uniform(1.0, 29.0, size=(1000, 2))
         img = splat_one(pos)
         expected, dropped = brute_force_splat(pos, 32, 32)
         assert dropped == 0.0
-        assert img.sum() == pytest.approx(1000.0, rel=1e-6)
-        np.testing.assert_allclose(img, expected, atol=1e-9)
+        assert img.sum() == pytest.approx(1000.0, rel=1e-12)
+        np.testing.assert_allclose(img, expected, atol=1e-12)
 
     def test_out_of_bounds_mass_tallied(self):
-        # the mass the kernel drops is what it leaves off the canvas
+        # the mass the kernel drops is what it leaves off the canvas: the
+        # right half of the first event, all of the second
         pos = np.array([[31.5, 5.0], [-4.0, 2.0], [10.0, 10.0]])
         img = splat_one(pos)
         expected, dropped = brute_force_splat(pos, 32, 32)
@@ -148,11 +166,11 @@ class TestAccumulate:
         inside = rng.uniform(1.0, [w - 2, h - 2], size=(3, 40, 2))
         straddle = rng.uniform(-2.5, [w + 1.5, h + 1.5], size=(2, 40, 2))
         # one batch per canvas edge, each crossing that edge alone; past
-        # the right or bottom edge only the x0 + 1 or y0 + 1 fragment
-        # leaves the canvas
+        # the right or bottom edge only the top one or two taps leave the
+        # canvas
         edges = [rng.uniform(lo, hi, size=(2, 40, 2)) for lo, hi in (
-            ([-1.0, 0.0], [0.0, h - 1]), ([w - 1, 0.0], [w, h - 1]),
-            ([0.0, -1.0], [w - 1, 0.0]), ([0.0, h - 1], [w - 1, h]))]
+            ([-1.0, 1.0], [1.0, h - 2]), ([w - 2, 1.0], [w, h - 2]),
+            ([1.0, -1.0], [w - 2, 1.0]), ([1.0, h - 2], [w - 2, h]))]
         on_lattice = rng.integers(-1, [w + 1, h + 1], size=(2, 40, 2))
         for batch in (inside, np.concatenate((inside, straddle)), *edges,
                       np.concatenate((on_lattice.astype(float), inside))):
@@ -194,11 +212,39 @@ class TestAccumulate:
         with pytest.raises(ValueError, match="flat float64 buffer of 40"):
             _splat(np.ones((2, 3, 2)), 4, 5, out=out)
 
-    def test_splat_touches_at_most_four_pixels(self):
+    def test_splat_touches_at_most_sixteen_pixels(self):
         rng = np.random.default_rng(4)
         for _ in range(25):
             pos = rng.uniform(2.0, 29.0, size=(1, 2))
-            assert np.count_nonzero(splat_one(pos)) <= 4
+            assert np.count_nonzero(splat_one(pos)) <= 16
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=st.floats(-4.0, 28.0), y=st.floats(-4.0, 20.0))
+    def test_each_event_keeps_its_in_bounds_mass(self, x, y):
+        """One event's splat carries exactly the mass of its taps that
+        land on the canvas: all of it when all 16 do."""
+        img = _splat(np.array([[[x, y]]]), 24, 17)[0]
+        _, dropped = brute_force_splat([(x, y)], 24, 17)
+        assert img.sum() == pytest.approx(1.0 - dropped, abs=1e-12)
+        if 1 <= math.floor(x) <= 24 - 3 and 1 <= math.floor(y) <= 17 - 3:
+            assert img.sum() == pytest.approx(1.0, abs=1e-15)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 30), spread=st.floats(0.0, 3.0),
+           q=st.floats(0.5, 0.99), u=st.floats(0.0, 1.0),
+           v=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_lattice_bias_is_bounded(self, n, spread, q, u, v, seed):
+        """Moving an event cluster by a sub-pixel shift changes its NB
+        score by at most 0.06 nats per event: the kernel barely prefers
+        pixel centres. A bilinear kernel's range reaches about one nat
+        per event."""
+        pos = np.random.default_rng(seed).uniform(-spread, spread, (n, 2))
+        batch = np.stack((pos, pos + [u, v])) + 12.0
+        params = NBParams(0.25, q)
+        scores = [float((_nb_log_density(img[img > 0], params)
+                         - _nb_log_density(0.0, params)).sum())
+                  for img in _splat(batch, 24, 24)]
+        assert abs(scores[1] - scores[0]) <= 0.06 * n
 
 
 class TestCameraIntrinsics:

@@ -210,7 +210,7 @@ class TestRayAgainstDenseReference:
         w = windows[0]
         region = res.windows[0].mask.bool_mask(1)
         obj = WindowObjective(w, intr, region, None)
-        # 20 rows (three 8-row chunks) with warped extents from none to
+        # 20 rows (five 4-row chunks) with warped extents from none to
         # ~90 px, out of order so chunks mix small and large extents; the
         # large ones push events off the sensor
         m_values = np.array([0.0, 9.0, 0.05, 4.0, 0.3, 1.2, 7.5, 0.01, 2.0,
@@ -237,8 +237,8 @@ def fresh_canvas_scores(obj, pos, bincount_splat):
         nb = part.shape[0]
         x_lo = math.floor(float(part[..., 0].min())) - 1
         y_lo = math.floor(float(part[..., 1].min())) - 1
-        w_c = math.floor(float(part[..., 0].max())) + 3 - x_lo
-        h_c = math.floor(float(part[..., 1].max())) + 3 - y_lo
+        w_c = math.floor(float(part[..., 0].max())) + 4 - x_lo
+        h_c = math.floor(float(part[..., 1].max())) + 4 - y_lo
         shifted = part - np.array([x_lo, y_lo], dtype=np.float64)
         flat = bincount_splat(shifted, w_c, h_c).ravel()
         nz = np.flatnonzero(flat)
