@@ -11,12 +11,17 @@ is still multimodal over the full circle (events moving in different
 directions each make a basin), so the direction search starts in the
 basin that the window's FFT drift points at and scans every direction
 only when that drift is missing or the optimum leaves its bracket.
+
+Windows are aligned independently, so they are the unit of parallel work
+(pipeline.run_depth maps align_window over them); align_window_3dof maps
+its wz grid candidates. Every search inside runs serially in its process.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -26,7 +31,8 @@ from .likelihood import (
     DEFAULT_GRID_N,
     MagnitudeGrid,
     WindowObjective,
-    marginals_from_objective,
+    marginal_from_objective,
+    pool_map,
     window_drift,
 )
 from .warp import (
@@ -99,10 +105,7 @@ def estimate_direction(w: EventWindow, grid: MagnitudeGrid,
     direction of grid.drift, the window's FFT drift. It falls back to the
     coarse-scan search (_coarse_direction) when the grid has no drift, the
     drift is zero, or the optimum ends within 2 * PHI_TOL of a bracket
-    edge, which means the maximum lies outside the bracket. Every probe
-    goes through marginals_from_objective, which shares its magnitude rows
-    out among the usable CPUs (a process pool) with results bit-for-bit
-    those of a serial loop.
+    edge, which means the maximum lies outside the bracket.
     """
     if len(w) < min_events:
         raise InsufficientEventsError(
@@ -122,7 +125,7 @@ def _refine_direction(obj: WindowObjective, grid: MagnitudeGrid,
                       lo: float, hi: float) -> float:
     """Golden-section maximum of the direction marginal on [lo, hi]."""
     phi_hat, _, _ = _golden_max(
-        lambda p: float(marginals_from_objective(obj, np.array([p]), grid)[0]),
+        lambda p: marginal_from_objective(obj, p, grid),
         lo, hi, tol=PHI_TOL, max_evals=MAX_REFINE_EVALS)
     return float(phi_hat)
 
@@ -133,7 +136,7 @@ def _coarse_direction(obj: WindowObjective, grid: MagnitudeGrid,
     spaced directions in [0, 2pi), ties broken toward the smaller angle,
     then golden section inside the interval around the best one."""
     phis = np.arange(phi_samples) * (2.0 * math.pi / phi_samples)
-    coarse = marginals_from_objective(obj, phis, grid)
+    coarse = [marginal_from_objective(obj, p, grid) for p in phis]
     best = int(np.argmax(coarse))  # first occurrence = smaller angle on ties
     step = 2.0 * math.pi / phi_samples
     phi_hat = _refine_direction(obj, grid, phis[best] - step,
@@ -182,9 +185,8 @@ def align_window(w: EventWindow, mask: RegionMask, imu: ImuTrace | None,
     the events whose rounded positions are its pixels (core.pixel_lookup),
     for its count and centroid as for its objective. Regions that fail (too
     few events) become unconverged entries; they never abort the window.
-    Every region present in the mask gets an entry. Regions are solved one
-    after another in this process; the parallel part is every probe of the
-    direction search (see estimate_direction).
+    Every region present in the mask gets an entry. Everything runs in
+    the calling process: the window is the unit of parallel work.
     """
     if (mask.height, mask.width) != (intr.height, intr.width):
         raise ValueError("mask dimensions do not match sensor dimensions")
@@ -228,42 +230,48 @@ def align_window_3dof(w: EventWindow, intr: CameraIntrinsics,
     each wz candidate is removed from the window by warping, the 2-DOF
     machinery scores the remainder (its direction search bracketed by the
     warped window's own drift, one FFT per candidate), and the best wz is
-    refined by golden section. Uses the same likelihood throughout.
+    refined by golden section. Uses the same likelihood throughout. The wz
+    grid candidates are solved across the usable CPUs (pool_map), the
+    golden section in this process.
     """
     if len(w) < min_events:
         raise InsufficientEventsError(
             f"insufficient events: {len(w)} < {min_events}")
     grid = MagnitudeGrid.for_window(w, intr, n=grid_n)
-
-    cache: dict[float, tuple[float, float, float]] = {}
+    solve = partial(_solve_2dof, w, grid, intr, phi_samples, min_events)
+    wz_grid = np.linspace(-grid.m_max, grid.m_max, wz_samples).tolist()
+    cache = dict(zip(wz_grid, pool_map(solve, wz_grid)))
 
     def solve_2dof(wz: float):
-        if wz in cache:
-            return cache[wz]
-        pos = warp_positions(w.events, np.array([0.0, 0.0, wz]), w.t_start,
-                             intr)
-        ev = Events(pos[:, 0], pos[:, 1], w.events.t, w.events.p)
-        wd = EventWindow(ev, w.t_start, w.t_end, derotated=w.derotated)
-        grid_wz = replace(grid, drift=window_drift(wd, intr))
-        phi = estimate_direction(wd, grid_wz, intr,
-                                 phi_samples=phi_samples,
-                                 min_events=min_events)
-        m, ll = estimate_magnitude(wd, phi, None, grid_wz, intr,
-                                   min_events=min_events)
-        cache[wz] = (ll, phi, m)
+        if wz not in cache:
+            cache[wz] = solve(wz)
         return cache[wz]
 
-    wz_grid = np.linspace(-grid.m_max, grid.m_max, wz_samples)
-    scores = np.array([solve_2dof(float(wz))[0] for wz in wz_grid])
+    scores = np.array([cache[wz][0] for wz in wz_grid])
     best = int(np.argmax(scores))
     lo = wz_grid[max(best - 1, 0)]
     hi = wz_grid[min(best + 1, wz_samples - 1)]
-    wz_hat, ll_ref, _ = _golden_max(lambda z: solve_2dof(float(z))[0],
-                                    float(lo), float(hi),
+    wz_hat, ll_ref, _ = _golden_max(lambda z: solve_2dof(z)[0], lo, hi,
                                     tol=2.0 * grid.m_max / 5000.0,
                                     max_evals=12)
     if scores[best] > ll_ref:
-        wz_hat = float(wz_grid[best])
-    _, phi, m = solve_2dof(float(wz_hat))
+        wz_hat = wz_grid[best]
+    _, phi, m = solve_2dof(wz_hat)
     two = AngularVelocity2(m, phi)
     return AngularVelocity3(two.wx, two.wy, float(wz_hat))
+
+
+def _solve_2dof(w: EventWindow, grid: MagnitudeGrid, intr: CameraIntrinsics,
+                phi_samples: int, min_events: int,
+                wz: float) -> tuple[float, float, float]:
+    """(log_likelihood, phi, m) of the 2-DOF search on the window with the
+    rotation wz about the optical axis warped out of it."""
+    pos = warp_positions(w.events, np.array([0.0, 0.0, wz]), w.t_start, intr)
+    ev = Events(pos[:, 0], pos[:, 1], w.events.t, w.events.p)
+    wd = EventWindow(ev, w.t_start, w.t_end, derotated=w.derotated)
+    grid_wz = replace(grid, drift=window_drift(wd, intr))
+    phi = estimate_direction(wd, grid_wz, intr, phi_samples=phi_samples,
+                             min_events=min_events)
+    m, ll = estimate_magnitude(wd, phi, None, grid_wz, intr,
+                               min_events=min_events)
+    return ll, phi, m

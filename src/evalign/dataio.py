@@ -140,7 +140,14 @@ def read_masks(path) -> tuple[list[tuple[float, RegionMask]], int, int]:
                 vals = fh.readline().split()
                 if len(vals) != width:
                     raise ParseError(f"expected {width} labels", line=ln)
-                rows[r] = [_parse(int, v, ln) for v in vals]
+                try:
+                    rows[r] = vals  # numpy applies int() to each token
+                except (ValueError, OverflowError):
+                    for v in vals:  # the first token at fault
+                        if not -2**31 <= _parse(int, v, ln) < 2**31:
+                            raise ParseError(f"label {v} out of range",
+                                             line=ln) from None
+                    raise
             if rows.min() < 0:
                 raise ParseError("labels must be non-negative", line=ln)
             masks.append((t_start, RegionMask(rows)))

@@ -60,19 +60,17 @@ MMAX_FACTOR = 2.5
 MMAX_FLOOR = 0.5
 MMAX_CAP = 10.0
 
-# Rows of a batch that _score_positions splats onto one canvas. A ray cut
-# at a multiple of it scores every row bit for bit as the whole ray does,
-# so cut_plan splits direction scans on these boundaries.
+# Rows of a batch that _score_positions splats onto one canvas, sized
+# for the rows' own warped extent.
 SCORE_CHUNK = 4
 
-# Workers that score all but the first part of a direction scan (see
-# marginals_from_objective); created on first use, kept for the life of
-# the process.
+# The workers of pool_map, one per usable CPU; created on first use, kept
+# for the life of the process.
 _scan_pool: ProcessPoolExecutor | None = None
 
 # Each thread's zeroed flat canvas for _score_positions, grown to the
-# largest chunk seen. Module state, not a WindowObjective attribute: the
-# objective is pickled for every pool task and must stay small.
+# largest chunk seen. Module state, not a WindowObjective attribute, so
+# the many objectives of a window share one canvas.
 _workspace = threading.local()
 
 
@@ -324,103 +322,59 @@ def _canvas(size: int) -> np.ndarray:
 
 def marginal_from_objective(obj: WindowObjective, phi: float,
                             grid: MagnitudeGrid) -> float:
-    """log integral over magnitude of the window likelihood along phi."""
-    return _log_trapezoid(obj.log_likelihood_ray(phi, grid.values), grid)
+    """log integral over magnitude of the window likelihood along phi.
 
-
-def _log_trapezoid(inner: np.ndarray, grid: MagnitudeGrid) -> float:
-    """log of the trapezoid integral of exp(inner) over the grid.
-
-    Combined in log space; the constant uniform-prior density 1/m_max is
-    dropped.
+    The trapezoid rule over the grid, combined in log space; the constant
+    uniform-prior density 1/m_max is dropped.
     """
+    inner = obj.log_likelihood_ray(phi, grid.values)
     h = grid.m_max / (grid.n - 1)
     log_w = np.full(grid.n, math.log(h))
     log_w[0] = log_w[-1] = math.log(h / 2.0)
     return float(logsumexp(inner + log_w))
 
 
-def cut_plan(n_rays: int, n: int,
-             n_parts: int) -> list[list[tuple[int, int, int]]]:
-    """Cut n_rays rays of n rows into n_parts contiguous parts, in order,
-    whose row counts differ by at most SCORE_CHUNK.
+def pool_map(fn, items: list) -> list:
+    """[fn(item) for item in items], shared out among the usable CPUs.
 
-    Cuts fall on ray boundaries or on multiples of SCORE_CHUNK within a ray,
-    where the scorer's own chunks start, so a cut ray scores every row as
-    the whole ray does. A part is a list of (ray index, lo, hi) row slices;
-    it is empty when there are fewer chunks than parts.
-    """
-    total = n_rays * n
-    stops = sorted({i * n + j for i in range(n_rays)
-                    for j in range(0, n, SCORE_CHUNK)} | {total})
-    for low in range(total // n_parts, -1, -1):
-        # reach[k]: the stops where part k can end while every part so far
-        # holds low to low + SCORE_CHUNK rows. Stops are at most SCORE_CHUNK
-        # apart, so each reach set is the stops inside one interval.
-        reach = [[0]]
-        while len(reach) <= n_parts and reach[-1]:
-            a, b = reach[-1][0] + low, reach[-1][-1] + low + SCORE_CHUNK
-            reach.append([s for s in stops if a <= s <= b])
-        if len(reach) > n_parts and reach[-1] and reach[-1][-1] == total:
-            break
-    cuts = [total]
-    for k in range(n_parts - 1, 0, -1):
-        cuts.append(min((s for s in reach[k]
-                         if low <= cuts[-1] - s <= low + SCORE_CHUNK),
-                        key=lambda s: abs(s - k * total / n_parts)))
-    cuts.append(0)
-    cuts.reverse()
-    return [[(i, max(a - i * n, 0), min(b - i * n, n))
-             for i in range(n_rays) if max(a, i * n) < min(b, (i + 1) * n)]
-            for a, b in zip(cuts, cuts[1:])]
-
-
-def marginals_from_objective(obj: WindowObjective, phis: np.ndarray,
-                             grid: MagnitudeGrid) -> np.ndarray:
-    """marginal_from_objective at each direction in phis, in order.
-
-    The rays' magnitude rows are cut into one contiguous part per usable
-    CPU (cut_plan), so even a single direction is shared. This process
-    scores the first part while a fork-started process pool scores the
-    others; the rows are joined in order and each direction's marginal is
-    taken as in marginal_from_objective. Every row is computed by the same
-    code on the same inputs, with the same scorer chunks, as in a plain
-    loop, so the result is bit-for-bit the loop's; a worker's exception is
-    re-raised here. The plain loop runs when there is one usable CPU, too
-    few chunks to split, or no safe way to fork (see _scan_workers).
+    fn must be a module-level function, which the pool sends by name, and
+    the items and results must pickle. Each item goes to a worker of the
+    fork-started process pool (_scan_workers) while this process waits;
+    the results come back in order, computed by the same code on the same
+    inputs as the list comprehension, which runs instead when there is one
+    usable CPU, one item or no safe way to fork. A worker's exception is
+    re-raised here with the worker's traceback as its cause. When the wait
+    ends in an exception, the items not yet started are cancelled; on
+    KeyboardInterrupt the workers are also terminated and the pool
+    dropped, so Ctrl-C does not wait for queued work and the next call
+    forks a fresh pool.
     """
     n_cpu = (len(os.sched_getaffinity(0))
              if hasattr(os, "sched_getaffinity") else 1)
-    parts = [[(phis[i], lo, hi) for i, lo, hi in part]
-             for part in cut_plan(len(phis), grid.n, n_cpu) if part]
-    pool = _scan_workers(n_cpu) if len(parts) > 1 else None
+    pool = _scan_workers(n_cpu) if n_cpu > 1 and len(items) > 1 else None
     if pool is None:
-        return np.array([marginal_from_objective(obj, p, grid) for p in phis])
-    futures = [pool.submit(_score_slices, obj, grid.values, part)
-               for part in parts[1:]]
-    rows = _score_slices(obj, grid.values, parts[0])
-    for fut in futures:
-        rows.extend(fut.result())
-    inner = np.concatenate(rows).reshape(len(phis), grid.n)
-    return np.array([_log_trapezoid(ray, grid) for ray in inner])
-
-
-def _score_slices(obj: WindowObjective, m_values: np.ndarray,
-                  slices: list[tuple[float, int, int]]) -> list[np.ndarray]:
-    return [obj.log_likelihood_ray(phi, m_values[lo:hi])
-            for phi, lo, hi in slices]
+        return [fn(item) for item in items]
+    futures = []
+    try:
+        for item in items:
+            futures.append(pool.submit(fn, item))
+        return [fut.result() for fut in futures]
+    except BaseException as exc:
+        for fut in futures:
+            fut.cancel()
+        if isinstance(exc, KeyboardInterrupt):
+            _drop_pool()
+        raise
 
 
 def _scan_workers(n_cpu: int) -> ProcessPoolExecutor | None:
-    """The process pool of the direction scans, created with n_cpu - 1
-    workers on first use; None when it does not exist and cannot be forked
-    safely.
+    """The process pool of pool_map, created with n_cpu workers on first
+    use; None when it does not exist and cannot be forked safely.
 
     Forking copies only the calling thread, so a lock held by any other
     thread stays locked in the child: the pool is only created while this
     is the process's sole thread (the package starts none of its own).
-    Workers ignore SIGINT, so Ctrl-C interrupts this process alone and the
-    pool is shut down as it exits.
+    Workers ignore SIGINT, so Ctrl-C interrupts this process alone.
     """
     global _scan_pool
     if _scan_pool is None:
@@ -428,7 +382,18 @@ def _scan_workers(n_cpu: int) -> ProcessPoolExecutor | None:
                 or threading.active_count() > 1):
             return None
         _scan_pool = ProcessPoolExecutor(
-            n_cpu - 1, mp_context=multiprocessing.get_context("fork"),
+            n_cpu, mp_context=multiprocessing.get_context("fork"),
             initializer=signal.signal,
             initargs=(signal.SIGINT, signal.SIG_IGN))
     return _scan_pool
+
+
+def _drop_pool() -> None:
+    """Terminate the pool's workers and forget the pool. Joining its
+    manager thread leaves this the sole thread again, so a later call may
+    fork a new pool."""
+    global _scan_pool
+    pool, _scan_pool = _scan_pool, None
+    for proc in pool._processes.values():  # no public way before 3.14
+        proc.terminate()
+    pool.shutdown(wait=True, cancel_futures=True)

@@ -13,6 +13,7 @@ import numpy as np
 from .align import (
     DEFAULT_MIN_EVENTS,
     DEFAULT_PHI_SAMPLES,
+    AlignmentResult,
     align_window,
     align_window_3dof,
 )
@@ -25,7 +26,7 @@ from .core import (
 )
 from .depth import DepthRow, coast_tracks, estimate_window_depth
 from .errors import InsufficientEventsError, ValidationError
-from .likelihood import DEFAULT_GRID_N
+from .likelihood import DEFAULT_GRID_N, pool_map
 from .metrics import DepthMetrics, pool_depth_metrics
 from .warp import AngularVelocity3, ImuTrace
 
@@ -56,25 +57,38 @@ def run_depth(events: Events, intr: CameraIntrinsics, cfg: RunConfig,
               mask_provider, imu: ImuTrace | None = None) -> list[DepthRow]:
     """Window loop of the distance pipeline.
 
-    mask_provider maps a window's t_start to its RegionMask. Windows whose
-    alignment fails entirely produce coasting rows (prediction only) for
-    every tracked region.
+    mask_provider maps a window's t_start to its RegionMask. The windows
+    are aligned independently across the usable CPUs (pool_map), the
+    largest first so that no long one starts last, then tracked in window
+    order in this process. Windows whose alignment fails entirely produce
+    coasting rows (prediction only) for every tracked region.
     """
     windows = slice_windows(events, cfg.dt)
+    masks = [mask_provider(w.t_start) for w in windows]
+    order = sorted(range(len(windows)), key=lambda k: -len(windows[k]))
+    results = dict(zip(order, pool_map(
+        _align, [(windows[k], masks[k], imu, intr, cfg) for k in order])))
     tracks = {}
     rows = []
-    for w in windows:
-        mask = mask_provider(w.t_start)
-        try:
-            result = align_window(
-                w, mask, imu, intr, phi_samples=cfg.phi_samples,
-                min_events=cfg.min_events, grid_n=cfg.grid_n)
-        except InsufficientEventsError:
+    for k, w in enumerate(windows):
+        if results[k] is None:
             rows.extend(coast_tracks(tracks, w.t_start))
-            continue
-        rows.extend(estimate_window_depth(result, mask, intr, tracks,
-                                          t=w.t_start))
+        else:
+            rows.extend(estimate_window_depth(results[k], masks[k], intr,
+                                              tracks, t=w.t_start))
     return rows
+
+
+def _align(job) -> AlignmentResult | None:
+    """align_window on one (window, mask, imu, intr, cfg) job of run_depth,
+    or None when the window has too few events. align_window is looked up
+    when called, so this module-level function is what the pool sends."""
+    w, mask, imu, intr, cfg = job
+    try:
+        return align_window(w, mask, imu, intr, phi_samples=cfg.phi_samples,
+                            min_events=cfg.min_events, grid_n=cfg.grid_n)
+    except InsufficientEventsError:
+        return None
 
 
 def remap_gt_regions(gt_mask: RegionMask, gt_depth: dict[int, float],
@@ -155,7 +169,9 @@ def run_angvel(events: Events, intr: CameraIntrinsics, cfg: RunConfig,
 
     fixed_count switches from fixed-dt windowing to fixed-event-count
     windowing (the ablation comparison); windows whose estimation fails are
-    skipped.
+    skipped. Windows run one after another here, and each shares out its
+    own wz candidates (align_window_3dof), so a pool worker never needs
+    the pool.
     """
     if fixed_count is not None:
         windows = slice_windows_count(events, fixed_count)

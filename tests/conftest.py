@@ -19,9 +19,8 @@ from evalign import (
     generate,
     slice_windows,
 )
-from evalign import align, cli
+from evalign import align, cli, likelihood
 from evalign.core import _taps
-from evalign.likelihood import marginal_from_objective
 
 
 @pytest.fixture(scope="session")
@@ -71,19 +70,6 @@ def rotation_run(intr):
     res = generate(scene, motion, intr, seed=11)
     windows = slice_windows(res.events, 0.05)
     return scene, motion, res, windows
-
-
-@pytest.fixture
-def serial_scan(monkeypatch):
-    """Calling the returned function swaps the pooled direction scan (the
-    coarse scan and every refinement probe) for the plain loop that it must
-    reproduce bit for bit."""
-    def loop(obj, phis, grid):
-        return np.array([marginal_from_objective(obj, p, grid) for p in phis])
-
-    def enable():
-        monkeypatch.setattr(align, "marginals_from_objective", loop)
-    return enable
 
 
 def _bincount_splat(positions, width, height):
@@ -156,7 +142,8 @@ def bench_scene(tmp_path_factory):
     """Runs one benchmark scene through the CLI as perfbench does (synth,
     then the workload's depth or angvel call) and returns its accuracy:
     ard, delta1 or rms, plus fallbacks, the direction searches that fell
-    back to the coarse scan. Each scene runs once per session."""
+    back to the coarse scan. Each scene runs once per session, in this
+    process alone, so the count sees every direction search."""
     workloads = _bench_workloads()
     cache = {}
 
@@ -180,6 +167,9 @@ def bench_scene(tmp_path_factory):
             return coarse(*a, **kw)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(align, "_coarse_direction", counted)
+            # a pool worker would count in its own copy of the list; the
+            # serial run writes the same bytes (test_cli checks it)
+            mp.setattr(likelihood, "_scan_workers", lambda n_cpu: None)
             assert cli.main([
                 wl.command, "--events", str(tmp / "events.evt"),
                 "--out", str(tmp / "out"),

@@ -1,9 +1,13 @@
 """Accuracy gates against the synthetic oracle on every scene that the
 benchmark renders, at its default and its check seed."""
 
+import math
+
 import pytest
 
-from conftest import bench_scenes
+from conftest import bench_scenes, sway_motion, two_plane_scene
+from evalign import MotionSpec, generate
+from evalign.pipeline import RunConfig, evaluate_depth_run, run_depth
 
 # seed 8, scene 1 (1008): the one full-frame direction is a compromise
 # between the two planes' depths (ROADMAP item 3, per-region direction)
@@ -15,6 +19,26 @@ SWAY = [pytest.param(*s, marks=pytest.mark.xfail(
 @pytest.mark.parametrize("name, seed", SWAY)
 def test_sway_2plane_ard(bench_scene, name, seed):
     assert bench_scene(name, seed)["ard"] <= 0.03
+
+
+@pytest.mark.parametrize("angle", [45.0, 60.0])
+@pytest.mark.parametrize("seed", [7, 8])
+def test_diagonal_sway_ard(intr, seed, angle):
+    """The two-plane sway scene with its ground-truth masks, swaying off
+    the sensor axes."""
+    sway = sway_motion()
+    v = sway.v_profile.copy()
+    a = math.radians(angle)
+    v[:, 1], v[:, 2] = v[:, 1] * math.cos(a), v[:, 1] * math.sin(a)
+    res = generate(two_plane_scene(),
+                   MotionSpec(v_profile=v, duration=sway.duration), intr,
+                   seed=seed)
+    masks = {w.t_start: w.mask for w in res.windows}
+    rows = run_depth(res.events, intr, RunConfig(), masks.__getitem__)
+    _, agg = evaluate_depth_run(rows,
+                                [(w.t_start, w.depths) for w in res.windows])
+    assert agg.n == len(res.windows)
+    assert agg.ard <= 0.05
 
 
 @pytest.mark.parametrize("name, seed", bench_scenes("honeycomb-davis"))

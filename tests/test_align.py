@@ -1,5 +1,6 @@
 """Two-step alignment: direction, per-region magnitude, and composition."""
 
+import functools
 import math
 
 import numpy as np
@@ -22,7 +23,7 @@ from evalign import (
     generate,
     slice_windows,
 )
-from evalign import align
+from evalign import align, likelihood
 from evalign.errors import InsufficientEventsError
 from evalign.likelihood import (
     MMAX_CAP,
@@ -31,9 +32,11 @@ from evalign.likelihood import (
     Drift,
     WindowObjective,
     auto_m_max,
-    marginals_from_objective,
+    marginal_from_objective,
+    pool_map,
     window_drift,
 )
+from evalign.pipeline import RunConfig, _align
 
 
 def angdiff_deg(a, b):
@@ -86,22 +89,16 @@ class TestEstimateDirection:
 
     @pytest.mark.parametrize("phi_samples", [36, 2, 1])
     def test_pooled_scan_matches_serial(self, intr, two_plane_run,
-                                        serial_scan, phi_samples):
+                                        phi_samples):
         # the drift-bracketed search, then the coarse-scan search of a grid
-        # without a drift; on 2 CPUs the coarse scans of 36 and 2 split at
-        # a direction boundary, that of 1 inside its ray, like every
-        # refinement probe
+        # without a drift, each in a pool worker and in this process
         _, _, _, windows = two_plane_run
         w = windows[3]
         grid = MagnitudeGrid.for_window(w, intr)
         bare = MagnitudeGrid(grid.m_max, grid.n)
-
-        def both():
-            return (estimate_direction(w, grid, intr, phi_samples=phi_samples),
-                    estimate_direction(w, bare, intr, phi_samples=phi_samples))
-        pooled = both()
-        serial_scan()
-        assert both() == pooled
+        search = functools.partial(estimate_direction, w, intr=intr,
+                                   phi_samples=phi_samples)
+        assert pool_map(search, [grid, bare]) == [search(grid), search(bare)]
 
     def test_insufficient_events(self, intr):
         ev = Events(np.array([5.0]), np.array([5.0]), np.array([0.01]),
@@ -207,8 +204,8 @@ class TestDriftBracket:
         best = estimate_direction(w, bare, intr)
         assert angdiff_deg(best, math.pi / 2) <= 3.0
         obj = WindowObjective(w, intr)
-        marg = marginals_from_objective(obj, np.array([local, best]), bare)
-        assert marg[1] > marg[0] + 10.0
+        assert marginal_from_objective(obj, best, bare) > \
+            marginal_from_objective(obj, local, bare) + 10.0
 
     def test_auto_m_max_is_factor_times_drift_speed(self, intr,
                                                     two_plane_run,
@@ -360,22 +357,22 @@ class TestAlignWindow:
                 other = AngularVelocity2(est.m * dm, phi)
                 assert ll_best >= obj.log_likelihood(other)
 
-    def test_pooled_scan_matches_serial(self, intr, symmetric_two_plane,
-                                        serial_scan):
+    def test_pooled_scan_matches_serial(self, intr, symmetric_two_plane):
+        # run_depth's job for one window, in pool workers and here
         _, _, res = symmetric_two_plane
         w = slice_windows(res.events, 0.05)[0]
         mask = res.windows[0].mask
-        pooled = align_window(w, mask, None, intr)
-        serial_scan()
-        assert align_window(w, mask, None, intr) == pooled
+        job = (w, mask, None, intr, RunConfig())
+        assert pool_map(_align, [job, job]) == \
+            [align_window(w, mask, None, intr)] * 2
 
 
 class TestAlignWindow3Dof:
     def test_pooled_scan_matches_serial(self, intr, rotation_run,
-                                        serial_scan):
+                                        monkeypatch):
         # a reduced search keeps the ~15 nested direction searches cheap
         _, _, _, windows = rotation_run
         kw = dict(phi_samples=12, grid_n=15, wz_samples=3)
         pooled = align_window_3dof(windows[0], intr, **kw)
-        serial_scan()
+        monkeypatch.setattr(likelihood, "_scan_workers", lambda n_cpu: None)
         assert align_window_3dof(windows[0], intr, **kw) == pooled

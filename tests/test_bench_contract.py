@@ -9,6 +9,7 @@ fail here rather than in a benchmark run.
 import importlib
 import importlib.util
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -75,6 +76,53 @@ def test_tracer_installs():
     proc = subprocess.run([sys.executable, "-B", "-c", script, str(BENCH)],
                           env=env, capture_output=True, text=True,
                           timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_traced_runs_complete(tmp_path):
+    """A traced multi-window depth run and a traced one-window angvel run
+    exit 0: the pool is handed only module-level functions, which pickle
+    although the tracer has replaced the names they call."""
+    script = (
+        "import json, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from tracing import Tracer\n"
+        "from evalign.cli import main\n"
+        "Tracer().install()\n"
+        "for argv in json.loads(sys.argv[2]):\n"
+        "    assert main(argv) == 0, argv\n"
+    )
+    from evalign.cli import main
+
+    scene = {"width": 96, "height": 64, "fx": 100.0, "fy": 100.0,
+             "cx": 47.5, "cy": 31.5, "noise_rate": 0.0,
+             "planes": [{"polygon": [[8, 8], [44, 8], [44, 56], [8, 56]],
+                         "depth": 1.0, "edge_density": 24.0},
+                        {"polygon": [[52, 8], [88, 8], [88, 56], [52, 56]],
+                         "depth": 2.0, "edge_density": 24.0}]}
+    motions = {"sway": {"v": [0.3, 0.0, 0.0], "duration": 0.15},
+               "turn": {"omega": [0.05, 0.3, 0.05], "duration": 0.05}}
+    (tmp_path / "scene.json").write_text(json.dumps(scene))
+    for name, motion in motions.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(motion))
+        assert main(["synth", "--scene", str(tmp_path / "scene.json"),
+                     "--motion", str(tmp_path / f"{name}.json"),
+                     "--out", str(tmp_path / name), "--seed", "3"]) == 0
+    common = ["--intrinsics", "100,100,47.5,31.5", "--phi-samples", "8",
+              "--grid-n", "12", "--min-events", "30"]
+    runs = [
+        ["depth", "--events", str(tmp_path / "sway" / "events.evt"),
+         "--mask", str(tmp_path / "sway" / "masks.msk"),
+         "--out", str(tmp_path / "depth"), *common],
+        ["angvel", "--events", str(tmp_path / "turn" / "events.evt"),
+         "--imu-gt", str(tmp_path / "turn" / "imu.imu"),
+         "--out", str(tmp_path / "angvel"), *common],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-B", "-c", script, str(BENCH),
+                           json.dumps(runs)],
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
     assert proc.returncode == 0, proc.stderr
 
 

@@ -4,8 +4,10 @@ import argparse
 import dataclasses
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -234,6 +236,18 @@ class TestDepthCommand:
         assert err.startswith(f"error: line {line}: malformed number")
         assert "Traceback" not in err
 
+    def test_mask_label_beyond_int32_exit_2(self, dataset, tmp_path,
+                                            capsys):
+        side = tmp_path / "bad.msk"
+        side.write_text("msk1 2 1 1\nwin 0.0\n1 3000000000\n")
+        code = main(["depth", "--events", str(dataset / "events.evt"),
+                     "--mask", str(side), "--out", str(tmp_path / "out"),
+                     "--intrinsics", "170,170,79.5,59.5", *FAST])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 3: label 3000000000 out of range")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("flags, message", [
         (["--phi-samples", "0"], "phi_samples"),
         (["--dt", "nan"], "dt"),
@@ -367,8 +381,9 @@ class TestAngvelCommand:
 
 
 def test_pool_starts_with_first_direction_search(dataset, tmp_path):
-    """`evalign synth` leaves no scan pool, worker or thread behind; the
-    first direction search creates the pool when there are CPUs to share."""
+    """`evalign synth` leaves no pool, worker or thread behind; the first
+    depth run creates the pool, to align its windows, when there are CPUs
+    to share."""
     script = (
         "import json, multiprocessing, os, sys, threading\n"
         "from evalign import likelihood\n"
@@ -402,7 +417,8 @@ def test_pool_starts_with_first_direction_search(dataset, tmp_path):
 def test_pooled_and_serial_runs_write_identical_csvs(dataset, tmp_path,
                                                      monkeypatch):
     """`evalign depth` and `evalign angvel` write the same bytes whether
-    the direction scans are shared out to the process pool or not."""
+    the windows and wz candidates are shared out to the process pool or
+    not."""
     rot = tmp_path / "rotation"
     scene = write_scene(tmp_path / "rotation.json", planes=[
         {"polygon": [[20, 16], [150, 16], [150, 104], [20, 104]],
@@ -415,7 +431,7 @@ def test_pooled_and_serial_runs_write_identical_csvs(dataset, tmp_path,
         "depth": ["depth", "--events", str(dataset / "events.evt"),
                   "--mask", str(dataset / "masks.msk"),
                   "--gt", str(dataset / "gt_depth.gtd"), *FAST],
-        # one window; a 12-row grid still cuts every probe inside its ray
+        # one window, whose wz candidates the pool solves
         "angvel": ["angvel", "--events", str(rot / "events.evt"),
                    "--imu-gt", str(rot / "imu.imu"), "--phi-samples", "8",
                    "--grid-n", "12", "--min-events", "30"],
@@ -436,3 +452,62 @@ def test_pooled_and_serial_runs_write_identical_csvs(dataset, tmp_path,
                               "depth/depth.csv", "depth/depth_metrics.csv"]
     monkeypatch.setattr(likelihood, "_scan_workers", lambda n_cpu: None)
     assert run_all("serial") == pooled
+
+
+def _children(pid):
+    """Pids of the live processes whose parent is pid."""
+    kids = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            state, ppid = stat.read_text().rsplit(")", 1)[1].split()[:2]
+        except OSError:
+            continue
+        if int(ppid) == pid and state != "Z":
+            kids.append(int(stat.parent.name))
+    return kids
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").is_file(),
+                    reason="finds the workers through /proc")
+def test_interrupt_ends_run_promptly(tmp_path):
+    """Ctrl-C during a multi-window `evalign depth` run ends it within
+    0.5 s with one traceback and leaves no pool worker behind: queued
+    windows are dropped, not finished."""
+    data = tmp_path / "data"
+    motion = write_motion(tmp_path / "motion.json", {
+        "v_profile": [[0.0, 0.45, 0.0, 0.0], [0.5, -0.45, 0.0, 0.0]],
+        "duration": 1.0})
+    assert main(["synth", "--scene", str(write_scene(tmp_path / "s.json")),
+                 "--motion", str(motion), "--out", str(data),
+                 "--seed", "5"]) == 0
+    src = str(Path(evalign.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "evalign.cli", "depth",
+         "--events", str(data / "events.evt"),
+         "--mask", str(data / "masks.msk"), "--out", str(tmp_path / "run"),
+         # a 256-row magnitude grid: windows of about 1 s, so waiting for
+         # even one queued window would show
+         "--intrinsics", "170,170,79.5,59.5", "--grid-n", "256"],
+        env=dict(os.environ, PYTHONPATH=src), stderr=subprocess.PIPE,
+        text=True)
+    try:
+        workers = []
+        deadline = time.monotonic() + 60.0
+        if len(os.sched_getaffinity(0)) > 1:
+            while not workers and time.monotonic() < deadline:
+                time.sleep(0.02)
+                workers = _children(proc.pid)
+            assert workers, "no pool worker started"
+        time.sleep(0.5)  # the workers are aligning windows
+        assert proc.poll() is None, "the run ended before the interrupt"
+        t0 = time.monotonic()
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=30)
+        elapsed = time.monotonic() - t0
+    finally:
+        proc.kill()
+        proc.wait()
+    assert elapsed < 0.5, err
+    assert proc.returncode != 0
+    assert err.count("Traceback") == 1 and "KeyboardInterrupt" in err, err
+    assert not any(Path(f"/proc/{pid}").exists() for pid in workers)

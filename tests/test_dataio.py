@@ -113,6 +113,21 @@ class TestMaskFile:
         with pytest.raises(ParseError, match=f"line {line}: malformed"):
             read_masks(p)
 
+    @pytest.mark.parametrize("label", ["3000000000", "2147483648",
+                                       "-2147483649"])
+    def test_label_beyond_int32_reports_line(self, tmp_path, label):
+        p = tmp_path / "bad.msk"
+        p.write_text(f"msk1 2 1 2\nwin 0.0\n1 1\nwin 0.05\n1 {label}\n")
+        with pytest.raises(ParseError,
+                           match=f"line 5: label {label} out of range"):
+            read_masks(p)
+
+    def test_int32_extremes_read(self, tmp_path):
+        p = tmp_path / "edge.msk"
+        p.write_text("msk1 3 1 1\nwin 0.0\n2147483647 +1 007\n")
+        masks, _, _ = read_masks(p)
+        assert masks[0][1].labels.tolist() == [[2147483647, 1, 7]]
+
     @pytest.mark.parametrize("header", ["msk1 192 120 0", "msk1 0 0 1",
                                         "msk1 2 -1 1"])
     def test_non_positive_header_field_rejected(self, tmp_path, header):

@@ -6,6 +6,8 @@ import os
 import pickle
 import sys
 import threading
+import time
+import functools
 
 import numpy as np
 import pytest
@@ -30,8 +32,7 @@ from evalign.likelihood import (
     SCORE_CHUNK,
     _nb_log_density,
     auto_m_max,
-    cut_plan,
-    marginals_from_objective,
+    pool_map,
 )
 from evalign.warp import warp_positions
 
@@ -345,7 +346,7 @@ class TestReusedCanvas:
             assert [r.tobytes() for r in got] == [want] * 5
 
     def test_pickle_does_not_grow(self, intr, two_plane_run):
-        # the objective is pickled for every pool task
+        # the canvas belongs to the thread, not to the objective
         obj = WindowObjective(two_plane_run[3][0], intr)
         size = len(pickle.dumps(obj))
         obj.log_likelihood_ray(0.7, np.linspace(0.0, 3.0, 20))
@@ -422,55 +423,26 @@ class TestMarginal:
 
 
 class TestMarginalsFromObjective:
-    """The pooled direction scan against the plain loop, compared exactly."""
+    """Marginals mapped over directions by pool_map against the plain
+    loop, compared exactly."""
 
     @staticmethod
     def loop(obj, phis, grid):
-        return np.array([marginal_from_objective(obj, p, grid) for p in phis])
+        return [marginal_from_objective(obj, p, grid) for p in phis]
 
-    @pytest.fixture(scope="class")
-    def edge_window(self, intr):
-        """Events over the whole sensor, edges included. A row's score
-        depends on its canvas origin only where shifting a position onto
-        the canvas rounds it, which happens near or past the top and left
-        edges (coordinate 0), so these rays score differently when cut off
-        the scorer's chunks."""
-        rng = np.random.default_rng(31)
-        n = 1500
-        ev = Events(rng.uniform(0, intr.width - 1, n),
-                    rng.uniform(0, intr.height - 1, n),
-                    np.sort(rng.uniform(0, 0.05, n)),
-                    np.ones(n, dtype=np.int8))
-        return EventWindow(ev, 0.0, 0.05)
-
-    @pytest.mark.parametrize("n", [2, 7, 8, 9, 50])
-    def test_one_direction(self, intr, edge_window, n):
-        # a golden-section probe: one ray, cut inside itself when it has
-        # more than one scorer chunk
-        grid = MagnitudeGrid(m_max=4.0, n=n)
-        obj = WindowObjective(edge_window, intr)
-        for phi in (0.4, 2.0, 3.5, 5.2):
-            phis = np.array([phi])
-            assert np.array_equal(marginals_from_objective(obj, phis, grid),
-                                  self.loop(obj, phis, grid))
-
-    def test_cut_inside_a_ray(self, intr, edge_window):
-        grid = MagnitudeGrid(m_max=4.0, n=20)
-        obj = WindowObjective(edge_window, intr)
-        phis = np.array([0.9, 2.5, 4.1])
-        if N_CPU == 2:  # 60 rows cut at 28: the middle ray's row 8
-            assert cut_plan(3, 20, 2)[1][0] == (1, 8, 20)
-        assert np.array_equal(marginals_from_objective(obj, phis, grid),
-                              self.loop(obj, phis, grid))
+    @staticmethod
+    def pooled(obj, phis, grid):
+        return pool_map(functools.partial(marginal_from_objective, obj,
+                                          grid=grid),
+                        list(phis))
 
     def test_two_plane_window(self, intr, two_plane_run):
         _, _, _, windows = two_plane_run
         w = windows[0]
         grid = MagnitudeGrid.for_window(w, intr)
         obj = WindowObjective(w, intr)
-        phis = np.arange(36) * (2.0 * math.pi / 36)
-        assert np.array_equal(marginals_from_objective(obj, phis, grid),
-                              self.loop(obj, phis, grid))
+        phis = np.arange(12) * (2.0 * math.pi / 12)
+        assert self.pooled(obj, phis, grid) == self.loop(obj, phis, grid)
         if N_CPU > 1:
             assert likelihood._scan_pool is not None
 
@@ -485,22 +457,11 @@ class TestMarginalsFromObjective:
         grid = MagnitudeGrid.for_window(wd, intr)
         obj = WindowObjective(wd, intr)
         phis = np.arange(11) * (2.0 * math.pi / 11)
-        assert np.array_equal(marginals_from_objective(obj, phis, grid),
-                              self.loop(obj, phis, grid))
-
-    @pytest.mark.parametrize("n_phi", sorted({1, max(N_CPU - 1, 1)}))
-    def test_fewer_directions_than_cpus(self, intr, two_plane_run, n_phi):
-        _, _, _, windows = two_plane_run
-        w = windows[2]
-        grid = MagnitudeGrid(m_max=1.5, n=20)
-        obj = WindowObjective(w, intr)
-        phis = np.linspace(0.3, 2.0, n_phi)
-        assert np.array_equal(marginals_from_objective(obj, phis, grid),
-                              self.loop(obj, phis, grid))
+        assert self.pooled(obj, phis, grid) == self.loop(obj, phis, grid)
 
     def test_worker_exception_reaches_caller(self, intr, two_plane_run):
-        # a NaN direction fails inside the scorer; placed last, it lands
-        # in the last part, which a worker scores when there is a pool
+        # a NaN direction fails inside the scorer; placed last, a worker
+        # scores it when there is a pool
         _, _, _, windows = two_plane_run
         w = windows[0]
         grid = MagnitudeGrid(m_max=1.5, n=20)
@@ -508,29 +469,46 @@ class TestMarginalsFromObjective:
         phis = np.append(np.linspace(0.0, 3.0, 7), np.nan)
         with pytest.raises(ValueError,
                            match="cannot convert float NaN to integer") as exc:
-            marginals_from_objective(obj, phis, grid)
+            self.pooled(obj, phis, grid)
         if N_CPU > 1:
             assert type(exc.value.__cause__).__name__ == "_RemoteTraceback"
         # the pool survives a failed task
         ok = phis[:-1]
-        assert np.array_equal(marginals_from_objective(obj, ok, grid),
-                              self.loop(obj, ok, grid))
+        assert self.pooled(obj, ok, grid) == self.loop(obj, ok, grid)
 
 
-@given(n_rays=st.integers(0, 40), n=st.integers(1, 120),
-       n_parts=st.integers(1, 16))
-def test_cut_plan_partitions_the_grid(n_rays, n, n_parts):
-    """Every (ray, row) once and in order, cuts only on ray boundaries or
-    scorer-chunk multiples, and part sizes within one chunk of each other."""
-    plan = cut_plan(n_rays, n, n_parts)
-    assert len(plan) == n_parts
-    cells = [(i, r) for part in plan for i, lo, hi in part
-             for r in range(lo, hi)]
-    assert cells == [(i, r) for i in range(n_rays) for r in range(n)]
-    for part in plan:
-        for _, lo, hi in part:
-            assert lo < hi
-            assert lo % SCORE_CHUNK == 0
-            assert hi == n or hi % SCORE_CHUNK == 0
-    sizes = [sum(hi - lo for _, lo, hi in part) for part in plan]
-    assert max(sizes) - min(sizes) <= SCORE_CHUNK
+def _sleep_or_fail(seconds):
+    if seconds < 0:
+        raise ValueError("negative sleep")
+    time.sleep(seconds)
+    return seconds
+
+
+def _interrupt(_):
+    raise KeyboardInterrupt
+
+
+@pytest.mark.skipif(N_CPU < 2, reason="pool_map runs a plain loop")
+class TestPoolMapInterrupted:
+    def test_error_cancels_queued_items(self):
+        # only the items already handed to a worker run on after the
+        # error; the 40 queued behind them would hold a later call for
+        # about 40 * 0.1 / N_CPU seconds
+        with pytest.raises(ValueError, match="negative sleep"):
+            pool_map(_sleep_or_fail, [-1.0] + [0.1] * 40)
+        t0 = time.perf_counter()
+        assert pool_map(_sleep_or_fail, [0.0, 0.0]) == [0.0, 0.0]
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_interrupt_drops_the_pool(self):
+        pool_map(_sleep_or_fail, [0.0, 0.0])
+        first = likelihood._scan_pool
+        workers = list(first._processes.values())
+        with pytest.raises(KeyboardInterrupt):
+            pool_map(_interrupt, [0, 1, 2])
+        assert likelihood._scan_pool is None
+        assert not any(p.is_alive() for p in workers)
+        assert threading.active_count() == 1
+        # the next call forks a fresh pool
+        assert pool_map(_sleep_or_fail, [0.0, 0.0]) == [0.0, 0.0]
+        assert likelihood._scan_pool not in (None, first)
