@@ -441,7 +441,7 @@ class TestMarginalsFromObjective:
         w = windows[0]
         grid = MagnitudeGrid.for_window(w, intr)
         obj = WindowObjective(w, intr)
-        phis = np.arange(12) * (2.0 * math.pi / 12)
+        phis = np.arange(36) * (2.0 * math.pi / 36)
         assert self.pooled(obj, phis, grid) == self.loop(obj, phis, grid)
         if N_CPU > 1:
             assert likelihood._scan_pool is not None
